@@ -4,7 +4,9 @@ Acceptance bar for the kernel work: on a ≥2k-road generated network the
 fused-group kernel must be at least 3× faster than the per-node Alg. 5
 loop *while producing the same numbers* (≤ 1e-8 max abs diff — checked
 here on the identical sweep budget, and exhaustively by
-``tests/test_gsp_differential.py``).
+``tests/test_gsp_differential.py``).  This holds for the parallel
+schedules and for the default ``BFS`` schedule, which runs as wavefront
+groups.
 
 Runs in two modes:
 
@@ -63,7 +65,9 @@ def _config(kernel: GSPKernel) -> GSPConfig:
     )
 
 
-@pytest.mark.parametrize("schedule", [GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED])
+@pytest.mark.parametrize(
+    "schedule", [GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED, GSPSchedule.BFS]
+)
 def test_vectorized_kernel_speedup_and_equivalence(perf_world, schedule):
     network, params, observed = perf_world
     engine = GSPEngine(network)

@@ -15,8 +15,11 @@ its neighbours' propagated values (Eq. 18):
 Updates are scheduled by BFS layers from ``R^c`` (closest roads first),
 swept repeatedly until the largest value change drops below ε.  Two
 alternative schedules (random order, plain index order) are provided for
-the ablation bench, plus a layer-parallel Jacobi variant matching the
-parallelization discussion at the end of §VI.
+the ablation bench, plus two variants from the parallelization
+discussion at the end of §VI: ``BFS_PARALLEL`` (Jacobi within a layer —
+it matches its own reference loop, not Alg. 5's sequential sweep) and
+``BFS_COLORED`` (non-adjacent colour groups — equal to a sequential
+sweep in colour order).
 
 Two kernels implement the sweep:
 
@@ -24,11 +27,14 @@ Two kernels implement the sweep:
   verbatim as the correctness oracle, and
 * the **vectorized** kernel — a CSR-style flat neighbour structure
   (:class:`PropagationStructure`) plus per-group gather/segment-sum
-  arrays (:class:`CompiledSchedule`), which updates a whole BFS layer
-  (``BFS_PARALLEL``) or colour group (``BFS_COLORED``) in one fused
-  numpy operation.  §VI's parallelization condition (same group, not
-  adjacent) is exactly what makes the fused group update equal the
-  sequential sweep.
+  arrays (:class:`CompiledSchedule`), which updates a whole group of
+  mutually non-adjacent roads in one fused numpy operation.  The groups
+  are the BFS layers (``BFS_PARALLEL``), the colour groups
+  (``BFS_COLORED``), or — for the sequential ``BFS`` and ``INDEX``
+  orders — wavefront levels: the level scheduling of sparse triangular
+  solves, under which the fused sweep performs exactly the updates of
+  the sequential one.  So the default ``BFS`` schedule runs Alg. 5
+  itself on the fused kernel; only ``RANDOM`` needs the reference loop.
 
 :class:`GSPEngine` owns both kernels for one network and caches the
 expensive precomputations: the propagation structure per slot-parameter
@@ -68,7 +74,8 @@ class GSPSchedule(str, enum.Enum):
     BFS_PARALLEL = "bfs-parallel"
     #: BFS layers split into independent (non-adjacent) colour groups —
     #: the exact parallelization condition of §VI: updates within one
-    #: group commute, so the result equals the sequential sweep.
+    #: group commute, so the result equals a sequential Gauss-Seidel
+    #: sweep in colour order (not Alg. 5's BFS order).
     BFS_COLORED = "bfs-colored"
     #: Random permutation per sweep (ablation).
     RANDOM = "random"
@@ -79,11 +86,12 @@ class GSPSchedule(str, enum.Enum):
 class GSPKernel(str, enum.Enum):
     """Which sweep implementation to run."""
 
-    #: Vectorized for parallel schedules, reference otherwise.
+    #: Vectorized for every schedule but ``RANDOM``, reference for it.
     AUTO = "auto"
     #: The per-node Python loop (Alg. 5 verbatim) — the testing oracle.
     REFERENCE = "reference"
-    #: Fused numpy group updates; requires ``BFS_PARALLEL``/``BFS_COLORED``.
+    #: Fused numpy group updates; any schedule except ``RANDOM``
+    #: (``BFS``/``INDEX`` run as wavefront groups, same arithmetic).
     VECTORIZED = "vectorized"
 
 
@@ -129,10 +137,16 @@ class PrecisionPolicy(str, enum.Enum):
             ) from None
 
 
-#: Schedules whose group updates commute, so the vectorized kernel's
-#: fused group update reproduces the sequential result exactly.
+#: Fixed-order Gauss-Seidel schedules: the engine compiles their
+#: sequential update order into wavefront groups (see
+#: :func:`_wavefront_groups`), so the fused kernel runs the same sweep.
+_WAVEFRONT_SCHEDULES = frozenset({GSPSchedule.BFS, GSPSchedule.INDEX})
+
+#: Schedules the vectorized kernel runs: every schedule whose update
+#: groups are fixed across sweeps.  Only ``RANDOM`` (a fresh permutation
+#: per sweep) stays on the reference loop.
 VECTORIZABLE_SCHEDULES = frozenset(
-    {GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED}
+    {GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED} | _WAVEFRONT_SCHEDULES
 )
 
 
@@ -170,6 +184,42 @@ def independent_update_groups(
     return groups
 
 
+def _wavefront_groups(
+    network: TrafficNetwork, order: Sequence[int]
+) -> List[List[int]]:
+    """Level-schedule a sequential Gauss-Seidel order into fused groups.
+
+    The level scheduling of sparse triangular solves: a road's level is
+    one more than the highest level among its neighbours that precede it
+    in ``order`` (0 when none does).  Roads of one level are never
+    adjacent, a road's earlier neighbours sit in lower levels and its
+    later ones in higher levels, so sweeping the levels in turn gives
+    every update exactly the new/old neighbour values the sequential
+    loop over ``order`` would read.
+
+    Args:
+        network: Road graph.
+        order: The free roads in sequential update order.
+
+    Returns:
+        Groups by ascending level, each in ``order``'s relative order;
+        together they partition ``order``.
+    """
+    # -1 marks roads not yet updated (later in ``order``, or clamped).
+    level_of = [-1] * network.n_roads
+    groups: List[List[int]] = []
+    for road in order:
+        level = 0
+        for j in network.neighbors(road):
+            if level_of[j] >= level:
+                level = level_of[j] + 1
+        level_of[road] = level
+        if level == len(groups):
+            groups.append([])
+        groups[level].append(road)
+    return groups
+
+
 @dataclass(frozen=True)
 class GSPConfig:
     """Knobs of Alg. 5.
@@ -179,10 +229,10 @@ class GSPConfig:
         max_sweeps: Sweep cap; a sweep updates every non-observed road.
         schedule: Update ordering; see :class:`GSPSchedule`.
         kernel: Sweep implementation; see :class:`GSPKernel`.  The
-            vectorized kernel only supports the parallel schedules
-            (``BFS_PARALLEL``, ``BFS_COLORED``) whose group updates
-            commute; requesting it with any other schedule raises
-            :class:`ModelError` at propagation time.
+            vectorized kernel supports every schedule with a fixed
+            update order (:data:`VECTORIZABLE_SCHEDULES`); requesting it
+            with ``RANDOM`` raises :class:`ModelError` at propagation
+            time.
         strict: Raise :class:`ConvergenceError` when the sweep budget is
             exhausted (default: return the last iterate).
         seed: RNG seed for the RANDOM schedule.
@@ -209,10 +259,10 @@ class GSPConfig:
     def with_precision(self, precision: "str | PrecisionPolicy") -> "GSPConfig":
         """This config adjusted to run under ``precision``.
 
-        ``FLOAT32`` only runs on the vectorized kernel; when the current
-        schedule is not vectorizable and the kernel is ``AUTO``, the
-        schedule is upgraded to ``BFS_PARALLEL`` (an explicitly
-        ``REFERENCE`` kernel raises :class:`ModelError` instead).
+        ``FLOAT32`` only runs on the vectorized kernel.  Vectorizable
+        schedules (every one but ``RANDOM``) are kept; ``RANDOM`` with
+        the ``AUTO`` kernel is upgraded to ``BFS_PARALLEL``, and an
+        explicitly ``REFERENCE`` kernel raises :class:`ModelError`.
         """
         from dataclasses import replace
 
@@ -247,7 +297,7 @@ class GSPConfig:
             and self.schedule not in VECTORIZABLE_SCHEDULES
         ):
             raise ModelError(
-                f"vectorized kernel requires a parallel schedule "
+                f"vectorized kernel requires a fixed-order schedule "
                 f"({sorted(s.value for s in VECTORIZABLE_SCHEDULES)}), "
                 f"got {self.schedule.value!r}"
             )
@@ -397,7 +447,7 @@ class _GroupKernel:
 
 @dataclass(frozen=True)
 class CompiledSchedule:
-    """BFS layers / colour groups compiled against the CSR layout.
+    """Update groups (layers / colours / wavefronts) in CSR layout.
 
     Depends only on the topology and ``frozenset(R^c)`` — never on slot
     parameters — so one compilation serves every slot.
@@ -405,9 +455,9 @@ class CompiledSchedule:
     Attributes:
         schedule: The ordering this compilation realizes.
         groups: Fused-update groups, swept in order (layers for
-            ``BFS_PARALLEL``, colour groups for ``BFS_COLORED``).
-        node_groups: The same groups as plain index lists, for the
-            reference kernel.
+            ``BFS_PARALLEL``, colour groups for ``BFS_COLORED``,
+            wavefront levels for ``BFS``/``INDEX``).
+        node_groups: The same groups as plain index lists.
     """
 
     schedule: GSPSchedule
@@ -661,6 +711,10 @@ class GSPEngine:
         node_groups = _schedule_node_groups(
             self._network, schedule, sorted(observed_roads), clamped, free
         )
+        if schedule in _WAVEFRONT_SCHEDULES:
+            node_groups = _wavefront_groups(
+                self._network, [road for group in node_groups for road in group]
+            )
         compiled = CompiledSchedule(
             schedule=schedule,
             groups=_compile_groups(structure.indptr, node_groups),

@@ -28,23 +28,31 @@ class TestConfig:
             GSPConfig(max_sweeps=0)
 
     def test_auto_kernel_resolution(self):
+        for schedule in (
+            GSPSchedule.BFS,
+            GSPSchedule.BFS_PARALLEL,
+            GSPSchedule.BFS_COLORED,
+            GSPSchedule.INDEX,
+        ):
+            assert (
+                GSPConfig(schedule=schedule).resolved_kernel()
+                is GSPKernel.VECTORIZED
+            )
         assert (
-            GSPConfig(schedule=GSPSchedule.BFS).resolved_kernel()
+            GSPConfig(schedule=GSPSchedule.RANDOM).resolved_kernel()
             is GSPKernel.REFERENCE
         )
         assert (
-            GSPConfig(schedule=GSPSchedule.BFS_PARALLEL).resolved_kernel()
-            is GSPKernel.VECTORIZED
-        )
-        assert (
-            GSPConfig(schedule=GSPSchedule.BFS_COLORED).resolved_kernel()
-            is GSPKernel.VECTORIZED
+            GSPConfig(kernel=GSPKernel.REFERENCE).resolved_kernel()
+            is GSPKernel.REFERENCE
         )
 
     def test_vectorized_kernel_rejects_gauss_seidel_schedules(self):
-        config = GSPConfig(schedule=GSPSchedule.BFS, kernel=GSPKernel.VECTORIZED)
+        config = GSPConfig(schedule=GSPSchedule.RANDOM, kernel=GSPKernel.VECTORIZED)
         with pytest.raises(ModelError):
             config.resolved_kernel()
+        fixed_order = GSPConfig(schedule=GSPSchedule.BFS, kernel=GSPKernel.VECTORIZED)
+        assert fixed_order.resolved_kernel() is GSPKernel.VECTORIZED
 
 
 class TestPropagation:
@@ -114,8 +122,13 @@ class TestPropagation:
         observed = {0: 20.0}
         sequential = propagate(grid_net, params, observed)
         assert sequential.schedule is GSPSchedule.BFS
-        assert sequential.kernel is GSPKernel.REFERENCE
+        assert sequential.kernel is GSPKernel.VECTORIZED
         assert sequential.sweeps == len(sequential.max_delta_history)
+        oracle = propagate(
+            grid_net, params, observed, GSPConfig(kernel=GSPKernel.REFERENCE)
+        )
+        assert oracle.schedule is GSPSchedule.BFS
+        assert oracle.kernel is GSPKernel.REFERENCE
         config = GSPConfig(schedule=GSPSchedule.BFS_COLORED)
         fused = propagate(grid_net, params, observed, config)
         assert fused.schedule is GSPSchedule.BFS_COLORED

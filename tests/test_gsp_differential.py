@@ -4,7 +4,9 @@ The fast path is only trustworthy because this suite pins it to the
 Alg. 5 oracle: on a pool of seeded random worlds spanning three
 topologies (grid, ring-radial, scale-free) and R^c sizes from empty to
 all-observed, the fused ``BFS_PARALLEL`` / ``BFS_COLORED`` updates must
-reproduce the reference result to 1e-8 and never need extra sweeps.
+reproduce the reference result to 1e-8 and never need extra sweeps, and
+the sequential ``BFS`` (Alg. 5) / ``INDEX`` sweeps, run as wavefront
+groups, must reproduce it to 1e-8 in exactly the same sweeps.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.core.gsp import (
 from repro.core.rtf import RTFSlot
 
 PARALLEL_SCHEDULES = (GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED)
+#: Sequential Gauss-Seidel orders the engine compiles into wavefront groups.
+WAVEFRONT_SCHEDULES = (GSPSchedule.BFS, GSPSchedule.INDEX)
 
 #: (case id, topology, network size knob, observed fraction).  24 cases:
 #: three topologies × eight R^c regimes including the degenerate ends.
@@ -62,26 +66,42 @@ def make_world(topology: str, fraction: float, seed: int):
     return network, params, observed
 
 
+def run_both_kernels(schedule, topology, fraction, case_id):
+    """(reference, vectorized) results of one seeded world."""
+    network, params, observed = make_world(topology, fraction, seed=case_id)
+    engine = GSPEngine(network)
+    kwargs = dict(epsilon=1e-10, max_sweeps=4000, schedule=schedule)
+    reference = engine.propagate(
+        params, observed, GSPConfig(kernel=GSPKernel.REFERENCE, **kwargs)
+    )
+    vectorized = engine.propagate(
+        params, observed, GSPConfig(kernel=GSPKernel.VECTORIZED, **kwargs)
+    )
+    assert vectorized.kernel is GSPKernel.VECTORIZED
+    assert reference.kernel is GSPKernel.REFERENCE
+    assert np.max(np.abs(vectorized.speeds - reference.speeds)) <= 1e-8
+    assert vectorized.converged == reference.converged
+    return reference, vectorized
+
+
 class TestDifferential:
     @pytest.mark.parametrize("schedule", PARALLEL_SCHEDULES)
     @pytest.mark.parametrize("case_id,topology,fraction", CASES)
     def test_vectorized_matches_reference(self, schedule, case_id, topology, fraction):
-        network, params, observed = make_world(topology, fraction, seed=case_id)
-        engine = GSPEngine(network)
-        kwargs = dict(epsilon=1e-10, max_sweeps=4000, schedule=schedule)
-        reference = engine.propagate(
-            params, observed, GSPConfig(kernel=GSPKernel.REFERENCE, **kwargs)
-        )
-        vectorized = engine.propagate(
-            params, observed, GSPConfig(kernel=GSPKernel.VECTORIZED, **kwargs)
-        )
-        assert vectorized.kernel is GSPKernel.VECTORIZED
-        assert reference.kernel is GSPKernel.REFERENCE
-        assert np.max(np.abs(vectorized.speeds - reference.speeds)) <= 1e-8
-        assert vectorized.converged == reference.converged
+        reference, vectorized = run_both_kernels(schedule, topology, fraction, case_id)
         assert vectorized.sweeps <= reference.sweeps
 
-    @pytest.mark.parametrize("schedule", PARALLEL_SCHEDULES)
+    @pytest.mark.parametrize("schedule", WAVEFRONT_SCHEDULES)
+    @pytest.mark.parametrize("case_id,topology,fraction", CASES)
+    def test_wavefront_runs_the_sequential_sweep(
+        self, schedule, case_id, topology, fraction
+    ):
+        # The wavefront kernel claims to run the sequential sweep itself,
+        # not another route to the same fixed point: same sweep count.
+        reference, vectorized = run_both_kernels(schedule, topology, fraction, case_id)
+        assert vectorized.sweeps == reference.sweeps
+
+    @pytest.mark.parametrize("schedule", PARALLEL_SCHEDULES + WAVEFRONT_SCHEDULES)
     def test_auto_kernel_resolves_to_vectorized(self, schedule):
         network, params, observed = make_world("grid", 0.1, seed=3)
         result = repro.propagate(
@@ -92,15 +112,23 @@ class TestDifferential:
 
     def test_auto_kernel_keeps_reference_for_sequential_schedules(self):
         network, params, observed = make_world("grid", 0.1, seed=4)
-        for schedule in (GSPSchedule.BFS, GSPSchedule.RANDOM, GSPSchedule.INDEX):
+        result = repro.propagate(
+            network, params, observed, GSPConfig(schedule=GSPSchedule.RANDOM, seed=1)
+        )
+        assert result.kernel is GSPKernel.REFERENCE
+        for schedule in WAVEFRONT_SCHEDULES:
+            # An explicit REFERENCE kernel still runs the per-node loop.
             result = repro.propagate(
-                network, params, observed, GSPConfig(schedule=schedule, seed=1)
+                network,
+                params,
+                observed,
+                GSPConfig(schedule=schedule, kernel=GSPKernel.REFERENCE),
             )
             assert result.kernel is GSPKernel.REFERENCE
 
     def test_vectorized_kernel_rejects_sequential_schedule(self):
         network, params, observed = make_world("grid", 0.1, seed=5)
-        config = GSPConfig(schedule=GSPSchedule.BFS, kernel=GSPKernel.VECTORIZED)
+        config = GSPConfig(schedule=GSPSchedule.RANDOM, kernel=GSPKernel.VECTORIZED)
         with pytest.raises(repro.ModelError):
             repro.propagate(network, params, observed, config)
 

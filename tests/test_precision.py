@@ -45,7 +45,7 @@ class TestWithPrecision:
         assert adjusted.schedule is GSPSchedule.BFS
 
     def test_auto_kernel_upgrades_schedule_for_float32(self):
-        adjusted = GSPConfig(schedule=GSPSchedule.BFS).with_precision("float32")
+        adjusted = GSPConfig(schedule=GSPSchedule.RANDOM).with_precision("float32")
         assert adjusted.precision is PrecisionPolicy.FLOAT32
         assert adjusted.schedule is GSPSchedule.BFS_PARALLEL
 
@@ -54,6 +54,12 @@ class TestWithPrecision:
             "float32"
         )
         assert adjusted.schedule is GSPSchedule.BFS_COLORED
+
+    def test_sequential_schedules_kept_for_float32(self):
+        for schedule in (GSPSchedule.BFS, GSPSchedule.INDEX):
+            adjusted = GSPConfig(schedule=schedule).with_precision("float32")
+            assert adjusted.precision is PrecisionPolicy.FLOAT32
+            assert adjusted.schedule is schedule
 
     def test_reference_kernel_rejected(self):
         config = GSPConfig(
@@ -83,16 +89,17 @@ class TestFieldTolerance:
     def test_float32_field_within_contract(self, small_world, observed):
         network = small_world["network"]
         params = small_world["params"]
-        # ε must stay within float32 resolution for the fast run to
-        # converge; 1e-4 is reachable by both precisions.
-        base = GSPConfig(schedule=GSPSchedule.BFS_PARALLEL, epsilon=1e-4)
-        ref = propagate(network, params, observed, base)
-        fast = propagate(network, params, observed, base.with_precision("float32"))
-        assert ref.converged and fast.converged
         mask = np.ones(network.n_roads, dtype=bool)
         mask[list(observed)] = False
-        divergence = np.abs(fast.speeds[mask] - ref.speeds[mask])
-        assert np.all(divergence <= RTOL * np.abs(ref.speeds[mask]))
+        for schedule in (GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS):
+            # ε must stay within float32 resolution for the fast run to
+            # converge; 1e-4 is reachable by both precisions.
+            base = GSPConfig(schedule=schedule, epsilon=1e-4)
+            ref = propagate(network, params, observed, base)
+            fast = propagate(network, params, observed, base.with_precision("float32"))
+            assert ref.converged and fast.converged
+            divergence = np.abs(fast.speeds[mask] - ref.speeds[mask])
+            assert np.all(divergence <= RTOL * np.abs(ref.speeds[mask]))
 
     def test_observed_roads_clamped_exactly(self, small_world, observed):
         network = small_world["network"]

@@ -8,7 +8,10 @@ invariants that no example may break:
   update to within the convergence threshold;
 * cache transparency — a warm (cache-hit) run returns arrays equal to a
   cold run, and stale caches are impossible because structure keys are
-  content digests of the slot parameters.
+  content digests of the slot parameters;
+* wavefront compilation — the fused groups of the sequential ``BFS`` /
+  ``INDEX`` orders partition the free roads, never hold two adjacent
+  roads, and order every edge's endpoints as the sequential sweep does.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 world_seeds = st.integers(min_value=0, max_value=10_000)
 observed_fractions = st.floats(min_value=0.0, max_value=1.0)
-schedules = st.sampled_from([GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED])
+schedules = st.sampled_from(
+    [GSPSchedule.BFS, GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED]
+)
+wavefront_schedules = st.sampled_from([GSPSchedule.BFS, GSPSchedule.INDEX])
 
 
 def make_world(seed: int, fraction: float):
@@ -119,6 +125,40 @@ class TestKernelInvariants:
         assert np.array_equal(warm.speeds, cold.speeds)
         assert np.array_equal(warm.speeds, fresh.speeds)
         assert warm.sweeps == cold.sweeps
+
+
+def sequential_order(network, schedule, observed):
+    """The free roads in the order the reference loop updates them."""
+    if schedule is GSPSchedule.INDEX or not observed:
+        roads = range(network.n_roads)
+    else:
+        roads = [i for layer in network.bfs_layers(sorted(observed)) for i in layer]
+    return [i for i in roads if i not in observed]
+
+
+class TestWavefrontCompile:
+    @SETTINGS
+    @given(seed=world_seeds, fraction=observed_fractions, schedule=wavefront_schedules)
+    def test_groups_replay_the_sequential_order(self, seed, fraction, schedule):
+        network, params, observed = make_world(seed, fraction)
+        engine = GSPEngine(network)
+        structure, _ = engine.structure_for(params)
+        compiled, _ = engine.schedule_for(schedule, frozenset(observed), structure)
+        order = sequential_order(network, schedule, observed)
+        group_of = {
+            road: g for g, group in enumerate(compiled.node_groups) for road in group
+        }
+        # The groups partition the free roads.
+        assert sorted(group_of) == sorted(order)
+        assert sum(len(group) for group in compiled.node_groups) == len(order)
+        position = {road: k for k, road in enumerate(order)}
+        for i, j in network.edges:
+            if i in observed or j in observed:
+                continue
+            # Never adjacent within a group, and every edge's endpoints
+            # are updated in the sequential order.
+            assert group_of[i] != group_of[j]
+            assert (group_of[i] < group_of[j]) == (position[i] < position[j])
 
 
 class TestCacheInvalidation:
