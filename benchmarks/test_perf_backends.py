@@ -1,9 +1,9 @@
 """Perf gate: pluggable-backend dispatch must not tax the default path.
 
 Acceptance bar for the backend refactor (ISSUE 8): routing every query
-through the backend dispatch point (``answer_query(backend=...)``) may
-add at most 5% p99 latency over the pre-refactor call shape
-(``answer_query`` with no backend argument), and the two must return
+through the backend dispatch point (``EstimationRequest(backend=...)``)
+may add at most 5% p99 latency over the pre-refactor call shape (a
+request with no backend argument), and the two must return
 bit-identical numbers — the paper's RTF+GSP path is still the same
 code, merely reachable through a named default.
 
@@ -67,10 +67,10 @@ def _run_query(world, seed, backend):
             budget=12,
             rng=np.random.default_rng(seed),
             warm_start=False,
+            **kwargs,
         ),
         market=market,
         truth=world["truth"],
-        **kwargs,
     )
     return time.perf_counter() - start, result
 

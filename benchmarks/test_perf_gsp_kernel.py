@@ -117,8 +117,8 @@ def test_warm_cache_skips_compilation(perf_world):
     config = _config(GSPKernel.VECTORIZED)
     cold = engine.propagate(params, observed, config)
     warm = engine.propagate(params, observed, config)
-    assert not cold.structure_cache_hit and not cold.schedule_cache_hit
-    assert warm.structure_cache_hit and warm.schedule_cache_hit
+    assert not cold.provenance.structure_cache_hit and not cold.provenance.schedule_cache_hit
+    assert warm.provenance.structure_cache_hit and warm.provenance.schedule_cache_hit
     assert np.array_equal(cold.speeds, warm.speeds)
     stats = engine.stats.as_dict()
     assert stats["structure_misses"] == 1
@@ -135,6 +135,6 @@ def test_batch_reuses_schedule_across_slots(perf_world):
     results = engine.propagate_batch(
         [(slot, observed) for slot in slots], _config(GSPKernel.VECTORIZED)
     )
-    assert [r.schedule_cache_hit for r in results] == [False, True, True]
+    assert [r.provenance.schedule_cache_hit for r in results] == [False, True, True]
     assert engine.stats.structure_misses == 3  # one structure per slot
     assert engine.stats.schedule_misses == 1  # one shared compilation

@@ -43,9 +43,15 @@ for budget in data.budgets:
             )
             truth = repro.truth_oracle_for(data.test_history, day, data.slot)
             result = system.answer_query(
-                data.queried, data.slot, budget=budget, market=market,
-                truth=truth, selector=selector,
-                rng=np.random.default_rng(200 + day),
+                repro.EstimationRequest(
+                    queried=data.queried,
+                    slot=data.slot,
+                    budget=budget,
+                    selector=selector,
+                    rng=np.random.default_rng(200 + day),
+                    warm_start=False,
+                ),
+                market=market, truth=truth,
             )
             estimates_all.append(result.estimates_kmh)
             truths_all.append(np.array([truth(q) for q in data.queried]))

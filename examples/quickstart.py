@@ -39,13 +39,15 @@ market = repro.CrowdMarket(
 truth = repro.truth_oracle_for(data.test_history, day=0, slot=data.slot)
 
 result = system.answer_query(
-    data.queried,
-    data.slot,
-    budget=30,
-    market=market,
-    truth=truth,
-    theta=data.theta,
-    selector="hybrid",
+    repro.EstimationRequest(
+        queried=data.queried,
+        slot=data.slot,
+        budget=30,
+        theta=data.theta,
+        selector="hybrid",
+        warm_start=False,
+    ),
+    market=market, truth=truth,
 )
 
 print(

@@ -42,7 +42,13 @@ market = repro.CrowdMarket(
 )
 truth = repro.truth_oracle_for(data.test_history, day=0, slot=data.slot)
 result = system.answer_query(
-    queried, data.slot, budget=25, market=market, truth=truth
+    repro.EstimationRequest(
+        queried=queried,
+        slot=data.slot,
+        budget=25,
+        warm_start=False,
+    ),
+    market=market, truth=truth,
 )
 field = result.full_field_kmh
 

@@ -19,7 +19,7 @@ Importing this package registers the built-ins; custom backends join
 with :func:`register_backend`.  Snapshot state blobs travel through the
 :class:`~repro.core.store.ModelStore` next to the RTF slots (see
 ``CrowdRTSE.attach_backend``), and the serving layer selects a backend
-per request via ``ServeRequest.backend``.
+per request via ``EstimationRequest.backend``.
 """
 
 from __future__ import annotations

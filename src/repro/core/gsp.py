@@ -54,12 +54,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ConvergenceError,
-    ConvergenceWarning,
-    ModelError,
-    warn_deprecated_once,
-)
+from repro.errors import ConvergenceError, ConvergenceWarning, ModelError
 from repro.core.rtf import RTFSlot, params_signature
 from repro.network.graph import TrafficNetwork
 from repro.obs import DEFAULT_ITERATION_BUCKETS, DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
@@ -354,35 +349,6 @@ class GSPResult:
     kernel: GSPKernel = GSPKernel.REFERENCE
     provenance: GSPProvenance = field(default_factory=GSPProvenance)
 
-    @property
-    def structure_cache_hit(self) -> bool:
-        """Deprecated alias for ``provenance.structure_cache_hit``.
-
-        Warns once per process (see the deprecation policy in
-        docs/API.md); scheduled for removal in v2.0.
-        """
-        warn_deprecated_once(
-            "gsp.result.structure_cache_hit",
-            "GSPResult.structure_cache_hit is deprecated and will be removed "
-            "in v2.0; read result.provenance.structure_cache_hit (or the "
-            "gsp.cache.lookups metric) instead",
-        )
-        return self.provenance.structure_cache_hit
-
-    @property
-    def schedule_cache_hit(self) -> bool:
-        """Deprecated alias for ``provenance.schedule_cache_hit``.
-
-        Warns once per process (see the deprecation policy in
-        docs/API.md); scheduled for removal in v2.0.
-        """
-        warn_deprecated_once(
-            "gsp.result.schedule_cache_hit",
-            "GSPResult.schedule_cache_hit is deprecated and will be removed "
-            "in v2.0; read result.provenance.schedule_cache_hit (or the "
-            "gsp.cache.lookups metric) instead",
-        )
-        return self.provenance.schedule_cache_hit
 
 
 # ----------------------------------------------------------------------

@@ -14,27 +14,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ModelError,
-    QueryTimeoutError,
-    SelectionError,
-    warn_deprecated_once,
-    wrap_internal,
-)
+from repro.errors import ModelError, QueryTimeoutError, SelectionError, wrap_internal
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 from repro.core.correlation import CorrelationTable, PathWeightMode
 from repro.core.gsp import GSPConfig, GSPEngine, GSPResult, PrecisionPolicy
@@ -175,13 +159,11 @@ class CrowdRTSE:
     lives in the store's immutable snapshots, and each query pins one
     snapshot for its whole OCS → probe → GSP span.
 
-    The legacy ``CrowdRTSE(network, model, correlations)`` form is still
-    accepted: the model becomes version 1 of an internal store and the
-    eager table seeds the correlation cache.  When the table's recorded
-    parameter digests do not match the model (a stale Γ_R generation),
-    construction emits a :class:`DeprecationWarning` and
-    :meth:`answer_query` raises :class:`ModelError` for the mismatched
-    slots instead of silently serving stale correlations.
+    The ``CrowdRTSE(network, model, correlations)`` form is accepted
+    too: the model becomes version 1 of an internal store and the eager
+    table seeds the correlation cache.  A table whose recorded parameter
+    digests do not match the model (a stale Γ_R generation) is rejected
+    with :class:`ModelError` at construction.
     """
 
     def __init__(
@@ -200,7 +182,6 @@ class CrowdRTSE:
             if store.network is not network and store.network != network:
                 raise ModelError("store belongs to a different network")
             self._store = store
-            self._stale_slots: Set[int] = set()
         else:
             if model is None:
                 raise ModelError("CrowdRTSE needs a model or a store")
@@ -210,7 +191,7 @@ class CrowdRTSE:
                 correlations.mode if correlations is not None else PathWeightMode.LOG
             )
             self._store = ModelStore(model, path_mode=mode)
-            self._stale_slots = self._adopt_table(network, correlations)
+            self._adopt_table(network, correlations)
         self._network = network
         self._fit_diagnostics: Optional[Dict[int, InferenceDiagnostics]] = None
         # One engine per system: repeated queries share the cached CSR
@@ -223,40 +204,29 @@ class CrowdRTSE:
         self,
         network: TrafficNetwork,
         correlations: Optional[CorrelationTable],
-    ) -> Set[int]:
-        """Seed the store's Γ_R cache from an eager table; flag stale slots."""
+    ) -> None:
+        """Seed the store's Γ_R cache from an eager table; reject stale ones."""
         if correlations is None:
-            return set()
+            return
         if correlations.network is not network and correlations.network != network:
             raise ModelError("correlation table belongs to a different network")
         snapshot = self._store.current()
-        stale: Set[int] = set()
-        for slot in correlations.slots:
-            if slot not in snapshot:
-                continue
-            table_digest = correlations.digest(slot)
-            model_digest = snapshot.digest(slot)
-            if table_digest is not None and table_digest != model_digest:
-                stale.add(slot)
-                continue
-            # Digest matches (or the table predates digests and is
-            # trusted, as before): adopt the eager matrix so nothing is
-            # re-derived.
-            self._store.seed_correlation(model_digest, correlations.matrix(slot))
+        adopt = [slot for slot in correlations.slots if slot in snapshot]
+        stale = [
+            slot for slot in adopt
+            if correlations.digest(slot) not in (None, snapshot.digest(slot))
+        ]
         if stale:
-            # Once per process, like every deprecated surface (policy in
-            # docs/API.md): a replay constructing hundreds of stale
-            # systems should complain once, not per construction.
-            warn_deprecated_once(
-                "pipeline.legacy_model_table",
-                f"correlation table is stale for slots {sorted(stale)} (derived "
-                f"from a different parameter generation); constructing CrowdRTSE "
-                f"from a mismatched model/table pair is deprecated and will be "
-                f"rejected in v2.0 — refresh the slots through the ModelStore "
-                f"instead.  answer_query will raise ModelError for these slots.",
-                stacklevel=4,
+            raise ModelError(
+                f"correlation table is stale for slots {stale}: it was derived "
+                f"from a different parameter generation (digest mismatch); "
+                f"rebuild the table, or refresh the slots through the ModelStore"
             )
-        return stale
+        # A table without digests predates them and is trusted as before.
+        for slot in adopt:
+            self._store.seed_correlation(
+                snapshot.digest(slot), correlations.matrix(slot)
+            )
 
     @classmethod
     def fit(
@@ -346,11 +316,7 @@ class CrowdRTSE:
         Returns:
             The freshly published snapshot.
         """
-        snapshot = self._store.refresh(day_samples, learning_rate)
-        # A refreshed slot's parameters now own their (lazily derived)
-        # correlations again, clearing any stale-table deprecation trap.
-        self._stale_slots -= set(day_samples)
-        return snapshot
+        return self._store.refresh(day_samples, learning_rate)
 
     # ------------------------------------------------------------------
     # Estimator backends
@@ -365,10 +331,10 @@ class CrowdRTSE:
     ) -> ModelSnapshot:
         """Fit (or adopt) an estimator backend and attach it to the store.
 
-        After attaching, :meth:`answer_query` accepts ``backend=name``,
-        :meth:`refresh` advances the backend's state blob alongside the
-        RTF slots, and the serving layer can select (or shadow-score)
-        the backend per request.
+        After attaching, :meth:`answer_query` accepts requests with
+        ``backend=name``, :meth:`refresh` advances the backend's state
+        blob alongside the RTF slots, and the serving layer can select
+        (or shadow-score) the backend per request.
 
         Args:
             name: Registry name (see
@@ -433,15 +399,6 @@ class CrowdRTSE:
     # Online stage
     # ------------------------------------------------------------------
 
-    def _check_not_stale(self, slot: int) -> None:
-        """Refuse to serve a slot whose adopted Γ_R generation is stale."""
-        if slot in self._stale_slots:
-            raise ModelError(
-                f"slot {slot}: correlation table was derived from a different "
-                f"parameter generation (digest mismatch); rebuild the table or "
-                f"refresh the slot instead of serving stale correlations"
-            )
-
     def build_ocs_instance(
         self,
         queried: Sequence[int],
@@ -460,7 +417,6 @@ class CrowdRTSE:
             snapshot: Pinned model version to read from (defaults to the
                 store's current snapshot).
         """
-        self._check_not_stale(slot)
         snap = snapshot if snapshot is not None else self._store.current()
         candidates = market.candidate_roads()
         if not candidates:
@@ -478,15 +434,7 @@ class CrowdRTSE:
 
     def _select_and_probe(
         self,
-        queried: Sequence[int],
-        slot: int,
-        budget: float,
-        market: CrowdMarket,
-        truth: TruthOracle,
-        theta: float,
-        selector: str,
-        rng: Optional[np.random.Generator],
-        use_trivial_fast_path: bool,
+        request: EstimationRequest,
         snapshot: ModelSnapshot,
         deadline: Optional[Deadline] = None,
     ) -> "PreparedQuery":
@@ -495,24 +443,30 @@ class CrowdRTSE:
         The first two stages of the Fig. 1 online loop, shared by
         :meth:`answer_query` and the serving layer's coalesced batch
         path (which runs this per request and then batches the GSP
-        stage).  Deadlines are checked at each stage boundary; stray
-        internal exceptions are wrapped per the docs/API.md exception
-        contract.
+        stage).  ``request`` must already carry its market and truth
+        oracle.  Remark 2's closed-form optima answer the instance when
+        they apply (θ = 1, unit costs, over-adequate budget or few
+        queried roads); otherwise the request's selector runs.
+        Deadlines are checked at each stage boundary; stray internal
+        exceptions are wrapped per the docs/API.md exception contract.
         """
+        assert request.market is not None and request.truth is not None
+        selector = request.selector
         tracer = get_tracer()
         if deadline is not None:
             deadline.check("ocs")
         with wrap_internal("ocs"):
             instance = self.build_ocs_instance(
-                queried, slot, budget, market, theta, snapshot=snapshot
+                request.queried, request.slot, request.budget,
+                request.market, request.theta, snapshot=snapshot,
             )
             with tracer.span("ocs.select", selector=selector) as select_span:
                 selection: Optional[OCSResult] = None
-                if use_trivial_fast_path and selector != "random":
+                if selector != "random":
                     selection = trivial_solution(instance)
                 if selection is None:
                     if selector == "random":
-                        selection = random_selection(instance, rng)
+                        selection = random_selection(instance, request.rng)
                     else:
                         try:
                             solve = SELECTORS[selector]
@@ -527,12 +481,14 @@ class CrowdRTSE:
 
         if deadline is not None:
             deadline.check("probe")
-        ledger = BudgetLedger(budget)
+        ledger = BudgetLedger(request.budget)
         with wrap_internal("probe"):
-            probes, receipts = market.probe(selection.selected, truth, ledger)
+            probes, receipts = request.market.probe(
+                selection.selected, request.truth, ledger
+            )
         return PreparedQuery(
-            queried=tuple(int(q) for q in queried),
-            slot=int(slot),
+            queried=request.queried,
+            slot=request.slot,
             selector=selector,
             selection=selection,
             probes=probes,
@@ -582,56 +538,33 @@ class CrowdRTSE:
 
     def answer_query(
         self,
-        request: Union[EstimationRequest, Sequence[int]],
-        slot: Optional[int] = None,
-        budget: Optional[float] = None,
+        request: EstimationRequest,
+        *,
         market: Optional[CrowdMarket] = None,
         truth: Optional[TruthOracle] = None,
-        theta: float = 0.92,
-        selector: str = "hybrid",
         gsp_config: Optional[GSPConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        use_trivial_fast_path: bool = True,
         snapshot: Optional[ModelSnapshot] = None,
         deadline: Optional[Deadline] = None,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         """Online stage: OCS → crowd probe → estimate → answer (Fig. 1).
 
-        The canonical spelling takes one
-        :class:`~repro.core.request.EstimationRequest`::
+        Takes one :class:`~repro.core.request.EstimationRequest`::
 
             system.answer_query(
                 EstimationRequest(queried=(3, 7), slot=93, budget=20.0),
                 market=market, truth=truth,
             )
 
-        The legacy spelling — queried roads first, every knob as its own
-        argument — still works but warns ``DeprecationWarning`` once per
-        process (removal horizon v2.0; see docs/API.md) and keeps its
-        pre-v2 numerics: it constructs a request with
-        ``warm_start=False`` so answers stay bit-identical.
-
         Args:
-            request: The query (an :class:`EstimationRequest`), or the
-                queried road indices ``R^q`` (deprecated spelling).
-            slot: Global time slot (legacy spelling only; an
-                :class:`EstimationRequest` carries its own).
-            budget: Crowdsourcing budget ``K`` (legacy spelling only).
+            request: The query: roads, slot, budget, θ, selector and the
+                per-request latency knobs.
             market: The crowd marketplace; fills a request whose
                 ``market`` is unset.
             truth: Ground-truth oracle the (simulated) workers measure;
                 fills a request whose ``truth`` is unset.
-            theta: Redundancy threshold θ (legacy spelling only).
-            selector: OCS solver (legacy spelling only).
             gsp_config: Propagation knobs; the request's ``precision``
                 is applied on top via
                 :meth:`~repro.core.gsp.GSPConfig.with_precision`.
-            rng: RNG for the random selector (a request's own ``rng``
-                wins).
-            use_trivial_fast_path: Apply Remark 2's closed-form optima
-                when they apply (θ = 1, unit costs, over-adequate budget
-                or few queried roads) instead of running the greedy.
             snapshot: Pre-pinned model version to serve from.  The
                 serving layer pins one snapshot per worker batch and
                 passes it here; direct callers leave it ``None`` and the
@@ -641,60 +574,30 @@ class CrowdRTSE:
                 (:class:`~repro.errors.QueryTimeoutError` on expiry).
                 When ``None``, a request's ``deadline_s`` starts its
                 budget here.
-            backend: Estimator backend override (legacy spelling;
-                requests carry their own ``backend`` field).
 
         Returns:
             A :class:`QueryResult`.
 
         Raises:
+            ModelError: When ``request`` is not an
+                :class:`EstimationRequest`, or no market/truth oracle is
+                given.
             QueryTimeoutError: When the deadline expires mid-pipeline.
             ReproError: Every intentional failure; stray internal
                 ``ValueError``/``KeyError`` surface as
                 :class:`~repro.errors.InternalError`.
         """
-        if isinstance(request, EstimationRequest):
-            if slot is not None or budget is not None:
-                raise ModelError(
-                    "pass either an EstimationRequest or the legacy "
-                    "(queried, slot, budget, ...) arguments, not both"
-                )
-            req = request.bound(market, truth)
-            if backend is not None:
-                from dataclasses import replace
-
-                req = replace(req, backend=backend)
-        else:
-            warn_deprecated_once(
-                "pipeline.answer_query_kwargs",
-                "answer_query(queried, slot, budget, ...) with loose "
-                "arguments is deprecated and will be removed in v2.0; "
-                "pass a repro.EstimationRequest instead (the legacy "
-                "spelling keeps warm_start off for bit-stable answers)",
+        if not isinstance(request, EstimationRequest):
+            raise ModelError(
+                f"answer_query takes a repro.EstimationRequest, got "
+                f"{type(request).__name__}"
             )
-            if slot is None or budget is None:
-                raise ModelError(
-                    "the legacy answer_query spelling needs queried, slot "
-                    "and budget"
-                )
-            req = EstimationRequest(
-                queried=tuple(int(q) for q in request),
-                slot=int(slot),
-                budget=float(budget),
-                theta=theta,
-                selector=selector,
-                market=market,
-                truth=truth,
-                rng=rng,
-                backend=backend if backend is not None else "rtf_gsp",
-                warm_start=False,
-            )
+        req = request.bound(market, truth)
         if req.market is None or req.truth is None:
             raise ModelError(
                 "answer_query needs a market and a truth oracle (on the "
                 "request or as arguments)"
             )
-        effective_rng = req.rng if req.rng is not None else rng
         if deadline is None and req.deadline_s is not None:
             deadline = Deadline.after(req.deadline_s)
 
@@ -712,11 +615,7 @@ class CrowdRTSE:
             selector=req.selector,
             model_version=snap.version,
         ) as query_span:
-            prepared = self._select_and_probe(
-                req.queried, req.slot, req.budget, req.market, req.truth,
-                req.theta, req.selector, effective_rng,
-                use_trivial_fast_path, snap, deadline,
-            )
+            prepared = self._select_and_probe(req, snap, deadline)
             if req.backend != "rtf_gsp":
                 # Pluggable-estimator path: the attached backend turns
                 # the probes into the field; GSP never runs.
@@ -836,33 +735,3 @@ class CrowdRTSE:
             "pipeline.latency_seconds", DEFAULT_TIME_BUCKETS, labels
         ).observe(latency_seconds)
         metrics.counter("pipeline.budget_spent").inc(ledger.spent)
-
-    def propagate_slots(
-        self,
-        observations: Mapping[int, Mapping[int, float]],
-        gsp_config: Optional[GSPConfig] = None,
-    ) -> Dict[int, GSPResult]:
-        """Propagate probe sets for several time slots in one call.
-
-        Batched counterpart of the GSP step of :meth:`answer_query` —
-        drivers that replay a day (or answer one query across adjacent
-        slots) hand every slot's probes over at once and the engine
-        shares its cached structures across the batch: the BFS layers /
-        colourings are keyed by the observed set alone, so slots probing
-        the same roads compile the schedule exactly once.
-
-        Args:
-            observations: Probed speeds per road, keyed by slot index;
-                every slot must be fitted.
-            gsp_config: Propagation knobs applied to every slot.
-
-        Returns:
-            The :class:`GSPResult` per slot, keyed like the input.
-        """
-        slots = list(observations)
-        snapshot = self._store.current()
-        with get_tracer().span("pipeline.propagate_slots", slots=len(slots)):
-            results = self._gsp_engine.propagate_batch(
-                [(snapshot.slot(t), observations[t]) for t in slots], gsp_config
-            )
-        return dict(zip(slots, results))

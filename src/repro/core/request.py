@@ -1,13 +1,9 @@
 """The canonical request type of the estimation stack.
 
-Before v2 every layer spelled "one query" its own way: the pipeline took
-a dozen positional arguments, the serving layer had ``ServeRequest``,
-workload traces a third ``WorkloadItem`` spelling with ``deadline_ms``.
-:class:`EstimationRequest` is the single shared type: the pipeline
-(:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the serving layer
-(:meth:`~repro.serve.service.QueryService.submit`), the workload JSONL
-format, and the CLI all construct and consume it.  The old spellings
-remain as deprecated shims (see the deprecation table in docs/API.md).
+:class:`EstimationRequest` is the one way to spell "one query": the
+pipeline (:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the
+serving layer (:meth:`~repro.serve.service.QueryService.submit`), the
+workload JSONL format, and the CLI all construct and consume it.
 
 The request also carries the two per-query latency knobs introduced with
 it:
@@ -20,14 +16,14 @@ it:
   field of the same ``(parameter digest, R^c)`` pair when one is cached
   (:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
   runs converge to the same fixed point within the solver's ε, not
-  bit-identically — the deprecated legacy spellings therefore default it
-  off to stay byte-stable with pre-v2 answers.
+  bit-identically — pass ``warm_start=False`` for answers that are
+  byte-stable across repeated queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -131,20 +127,3 @@ class EstimationRequest:
             return self
         return replace(self, **updates)
 
-
-def as_request(
-    request: Union[EstimationRequest, Sequence[int]],
-    **overrides: object,
-) -> EstimationRequest:
-    """Coerce a request-or-queried-sequence into an :class:`EstimationRequest`.
-
-    Helper for shims that accept both the canonical type and the legacy
-    "first argument is the queried roads" spelling.  ``overrides`` are
-    only applied on the legacy path; passing an
-    :class:`EstimationRequest` returns it unchanged.
-    """
-    if isinstance(request, EstimationRequest):
-        return request
-    return EstimationRequest(
-        queried=tuple(int(q) for q in request), **overrides  # type: ignore[arg-type]
-    )

@@ -786,7 +786,7 @@ class ModelStore:
 
         Used when adopting an eagerly built
         :class:`~repro.core.correlation.CorrelationTable` whose digests
-        match the current parameters, so legacy construction does not
+        match the current parameters, so that construction does not
         re-derive work it already has in hand.
         """
         n = self._network.n_roads

@@ -42,7 +42,7 @@ from repro.experiments.common import (
     format_rows,
     market_for,
 )
-from repro.serve import QueryService, ServeConfig, ServeRequest
+from repro.serve import EstimationRequest, QueryService, ServeConfig
 from repro.stream import (
     StreamConfig,
     StreamRefresher,
@@ -154,11 +154,12 @@ def run(
                 ) == 0 and len(tickets) < queries_per_day:
                     tickets.append(
                         service.submit(
-                            ServeRequest(
+                            EstimationRequest(
                                 queried=tuple(data.queried),
                                 slot=data.slot,
                                 budget=budget,
                                 rng=np.random.default_rng(seed + day),
+                                warm_start=False,
                             )
                         )
                     )

@@ -27,13 +27,11 @@ from repro.serve.service import (
     QueryService,
     ServeConfig,
     ServedResult,
-    ServeRequest,
     ServeTicket,
     ShadowStats,
 )
 from repro.serve.workload import (
     ReplayReport,
-    WorkloadItem,
     load_workload,
     replay,
     save_workload,
@@ -48,11 +46,9 @@ __all__ = [
     "QueryService",
     "ReplayReport",
     "ServeConfig",
-    "ServeRequest",
     "ServeTicket",
     "ServedResult",
     "ShadowStats",
-    "WorkloadItem",
     "load_workload",
     "replay",
     "save_workload",

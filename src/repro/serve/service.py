@@ -55,7 +55,6 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     ServeError,
-    warn_deprecated_once,
 )
 from repro.baselines.periodic import periodic_field
 from repro.core.gsp import GSPConfig, GSPResult
@@ -131,10 +130,15 @@ class ServeConfig:
         degrade_margin_s: Skip the full pipeline and degrade immediately
             when less than this much budget remains at pickup — the
             pipeline would not finish in time anyway.
-        serialize_probes: Hold a service-wide lock around OCS + probing
-            so a market shared between requests (one RNG, one worker
-            pool) is never driven from two threads at once.  GSP — the
-            heavy stage — always runs outside the lock.
+        serialize_probes: Hold a service-wide lock while a request is
+            selected and probed, so a market shared between requests
+            (one RNG, one worker pool) is never driven from two threads
+            at once.  The lock's scope depends on the batch: a batch
+            with one unique request (every duplicate shares it) holds
+            the lock across its whole ``answer_query`` — OCS, probing
+            *and* GSP — while a batch of several distinct same-slot
+            requests holds it only around each request's OCS + probing
+            and runs the shared GSP batch outside it.
         gsp_config: Propagation knobs applied to every served query.
         shed_on_failing: Pre-emptive load shedding: when an installed
             :class:`repro.obs.health.HealthMonitor` reports the process
@@ -172,31 +176,6 @@ class ServeConfig:
             raise ServeError("ServeConfig.max_coalesce must be >= 1")
         if self.coalesce_window_s < 0 or self.degrade_margin_s < 0:
             raise ServeError("serve windows/margins must be >= 0")
-
-
-@dataclass(frozen=True)
-class ServeRequest(EstimationRequest):
-    """Deprecated alias of :class:`~repro.core.request.EstimationRequest`.
-
-    Kept as a constructor shim for pre-v2 callers (removal horizon
-    v2.0; see the deprecation table in docs/API.md).  Field names and
-    order match the canonical type, so positional construction keeps
-    working — the one difference is that ``warm_start`` defaults to
-    ``False`` here, preserving the bit-exact answers pre-v2 service
-    builds produced.  New code constructs
-    :class:`~repro.core.request.EstimationRequest` directly.
-    """
-
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        warn_deprecated_once(
-            "serve.serve_request",
-            "ServeRequest is deprecated and will be removed in v2.0; "
-            "construct repro.EstimationRequest instead (note: "
-            "EstimationRequest defaults warm_start=True)",
-        )
 
 
 @dataclass(frozen=True)
@@ -491,7 +470,12 @@ class QueryService:
                     )
 
     def _next_batch(self) -> Optional[List[ServeTicket]]:
-        """Pop a leader plus every coalescable same-slot follower."""
+        """Pop a leader plus every coalescable same-slot follower.
+
+        The followers already queued are gathered in the same critical
+        section as the leader pop, so no other worker can take a
+        same-slot duplicate as a leader of its own in between.
+        """
         with self._work_ready:
             while not self._queue:
                 if self._closing:
@@ -499,29 +483,37 @@ class QueryService:
                 self._work_ready.wait(timeout=0.1)
             leader = self._queue.popleft()
             leader.picked_up_at = time.perf_counter()
+            batch = [leader]
+            if leader.request.coalescable:
+                self._queue = self._take_followers(batch)
             self._set_depth_locked()
         if self._config.coalesce_window_s > 0 and leader.request.coalescable:
             # Linger briefly so near-simultaneous same-slot queries land
             # in this batch instead of the next one.
             time.sleep(self._config.coalesce_window_s)
-        batch = [leader]
-        if leader.request.coalescable:
             with self._lock:
-                kept: Deque[ServeTicket] = deque()
-                while self._queue and len(batch) < self._config.max_coalesce:
-                    candidate = self._queue.popleft()
-                    if (
-                        candidate.request.coalescable
-                        and candidate.request.slot == leader.request.slot
-                    ):
-                        candidate.picked_up_at = time.perf_counter()
-                        batch.append(candidate)
-                    else:
-                        kept.append(candidate)
-                kept.extend(self._queue)
-                self._queue = kept
+                self._queue = self._take_followers(batch)
                 self._set_depth_locked()
         return batch
+
+    def _take_followers(self, batch: List[ServeTicket]) -> Deque[ServeTicket]:
+        """Append queued coalescable same-slot requests to ``batch``.
+
+        Call with ``self._lock`` held; returns the queue that remains.
+        """
+        slot = batch[0].request.slot
+        kept: Deque[ServeTicket] = deque()
+        for candidate in self._queue:
+            if (
+                len(batch) < self._config.max_coalesce
+                and candidate.request.coalescable
+                and candidate.request.slot == slot
+            ):
+                candidate.picked_up_at = time.perf_counter()
+                batch.append(candidate)
+            else:
+                kept.append(candidate)
+        return kept
 
     def _serve_batch(self, batch: List[ServeTicket]) -> None:
         """Serve one same-slot batch off one pinned snapshot."""
@@ -652,15 +644,9 @@ class QueryService:
                         # Same single-flight artifact-cache wait as the
                         # single path above; see that justification.
                         prepared = self._system._select_and_probe(  # repro: noqa[RA012]
-                            request.queried,
-                            request.slot,
-                            request.budget,
-                            self._market_of(request),
-                            self._truth_of(request),
-                            request.theta,
-                            request.selector,
-                            request.rng,
-                            True,
+                            request.bound(
+                                self._market_of(request), self._truth_of(request)
+                            ),
                             snapshot,
                             leader.deadline,
                         )

@@ -1,8 +1,8 @@
-"""The v1 public API surface is frozen: drift must be deliberate.
+"""The v2 public API surface is frozen: drift must be deliberate.
 
 ``tools/dump_api.py`` renders every name in ``repro.__all__`` (plus its
 public class members) into stable one-line entries;
-``docs/api_surface_v1.txt`` is the reviewed golden.  These tests fail on
+``docs/api_surface_v2.txt`` is the reviewed golden.  These tests fail on
 any rename, removal, or signature change that was not accompanied by a
 regeneration of the golden file.
 """
@@ -26,13 +26,13 @@ class TestSurfaceGolden:
         golden = dump_api.GOLDEN.read_text().splitlines()
         live = dump_api.dump_surface()
         assert live == golden, (
-            "public API surface drifted from docs/api_surface_v1.txt — "
+            "public API surface drifted from docs/api_surface_v2.txt — "
             "if intentional, run: PYTHONPATH=src python tools/dump_api.py --update"
         )
 
     def test_check_mode_exit_codes(self, tmp_path, monkeypatch):
         assert dump_api.main(["--check"]) == 0
-        drifted = tmp_path / "api_surface_v1.txt"
+        drifted = tmp_path / "api_surface_v2.txt"
         drifted.write_text("repro.Ghost class ()\n")
         monkeypatch.setattr(dump_api, "GOLDEN", drifted)
         assert dump_api.main(["--check"]) == 1

@@ -60,12 +60,15 @@ def answer(world, seed=0, **overrides):
     truth = repro.truth_oracle_for(data.test_history, 0, data.slot)
     kwargs = dict(
         budget=15,
-        market=market,
-        truth=truth,
         rng=np.random.default_rng(seed),
     )
     kwargs.update(overrides)
-    return world["system"].answer_query(data.queried, data.slot, **kwargs)
+    return world["system"].answer_query(
+        repro.EstimationRequest(
+            queried=data.queried, slot=data.slot, warm_start=False, **kwargs
+        ),
+        market=market, truth=truth,
+    )
 
 
 class TestRegistry:
@@ -278,8 +281,14 @@ class TestAnswerQueryDispatch:
         truth = repro.truth_oracle_for(data.test_history, 0, data.slot)
         with pytest.raises(errors.BackendError):
             system.answer_query(
-                data.queried, data.slot, budget=15,
-                market=market, truth=truth, backend="lsmrn",
+                repro.EstimationRequest(
+                    queried=data.queried,
+                    slot=data.slot,
+                    budget=15,
+                    backend="lsmrn",
+                    warm_start=False,
+                ),
+                market=market, truth=truth,
             )
 
 

@@ -6,7 +6,6 @@ import pytest
 import repro
 from repro.core.correlation import CorrelationTable
 from repro.core.store import ModelStore
-from repro import errors
 from repro.errors import ModelError, SelectionError
 from repro.datasets import truth_oracle_for
 
@@ -64,10 +63,8 @@ class TestLegacyConstruction:
         assert system.store.stats.correlation_derivations == 0
         assert system.fit_diagnostics is None
 
-    def test_stale_table_warns_and_refuses_to_serve(
-        self, tiny_dataset, tiny_system, market, truth
-    ):
-        """A Γ_R generation that mismatches the model is a trap, not a bug."""
+    def test_stale_table_rejected_at_construction(self, tiny_dataset, tiny_system):
+        """A Γ_R generation that mismatches the model is refused outright."""
         model = tiny_system.model
         table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
         stale_model = repro.refresh_model(
@@ -78,38 +75,8 @@ class TestLegacyConstruction:
             ]},
             learning_rate=0.5,
         )
-        errors.reset_deprecation_warnings("pipeline.legacy_model_table")
-        with pytest.warns(DeprecationWarning, match="stale"):
-            system = repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
         with pytest.raises(ModelError, match="digest mismatch"):
-            system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=15,
-                market=market,
-                truth=truth,
-            )
-
-    def test_refresh_clears_the_stale_trap(self, tiny_dataset, tiny_system,
-                                           market, truth):
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        sample = tiny_dataset.test_history.day(0)[
-            tiny_dataset.test_history.local_slot(tiny_dataset.slot)
-        ]
-        stale_model = repro.refresh_model(
-            tiny_dataset.network, model, {tiny_dataset.slot: sample},
-            learning_rate=0.5,
-        )
-        errors.reset_deprecation_warnings("pipeline.legacy_model_table")
-        with pytest.warns(DeprecationWarning):
-            system = repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
-        system.refresh({tiny_dataset.slot: sample})
-        result = system.answer_query(
-            tiny_dataset.queried, tiny_dataset.slot, budget=15,
-            market=market, truth=truth,
-        )
-        assert np.all(np.isfinite(result.estimates_kmh))
+            repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
 
 
 class TestRefresh:
@@ -133,7 +100,12 @@ class TestRefresh:
             system.model.slot(tiny_dataset.slot).mu, mu_before
         )
         result = system.answer_query(
-            tiny_dataset.queried, tiny_dataset.slot, budget=15,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                warm_start=False,
+            ),
             market=market, truth=truth,
         )
         assert np.all(np.isfinite(result.estimates_kmh))
@@ -166,11 +138,13 @@ class TestBuildOCSInstance:
 class TestAnswerQuery:
     def test_basic_roundtrip(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
-            market=market,
-            truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         assert result.queried == tiny_dataset.queried
         assert result.estimates_kmh.shape == (len(tiny_dataset.queried),)
@@ -179,22 +153,26 @@ class TestAnswerQuery:
 
     def test_budget_respected(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=15,
-            market=market,
-            truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         assert result.budget_spent <= 15
         assert result.selection.cost <= 15
 
     def test_probed_roads_keep_probe_values(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
-            market=market,
-            truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         for road, value in result.probes.items():
             assert result.full_field_kmh[road] == pytest.approx(value)
@@ -202,34 +180,40 @@ class TestAnswerQuery:
     @pytest.mark.parametrize("selector", ["hybrid", "ratio", "objective", "random"])
     def test_all_selectors_work(self, tiny_dataset, tiny_system, market, truth, selector):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=15,
-            market=market,
-            truth=truth,
-            selector=selector,
-            rng=np.random.default_rng(1),
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                selector=selector,
+                rng=np.random.default_rng(1),
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         assert result.budget_spent <= 15
 
     def test_unknown_selector_rejected(self, tiny_dataset, tiny_system, market, truth):
         with pytest.raises(SelectionError, match="unknown selector"):
             tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=15,
-                market=market,
-                truth=truth,
-                selector="genie",
+                repro.EstimationRequest(
+                    queried=tiny_dataset.queried,
+                    slot=tiny_dataset.slot,
+                    budget=15,
+                    selector="genie",
+                    warm_start=False,
+                ),
+                market=market, truth=truth,
             )
 
     def test_estimate_of_lookup(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
-            market=market,
-            truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         road = tiny_dataset.queried[3]
         assert result.estimate_of(road) == pytest.approx(
@@ -240,11 +224,13 @@ class TestAnswerQuery:
 
     def test_receipts_align_with_selection(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=25,
-            market=market,
-            truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=25,
+                warm_start=False,
+            ),
+            market=market, truth=truth,
         )
         assert {r.road_index for r in result.receipts} == set(result.selection.selected)
         for receipt in result.receipts:
@@ -266,11 +252,13 @@ class TestAnswerQuery:
             )
             truth = truth_oracle_for(tiny_dataset.test_history, day, tiny_dataset.slot)
             result = tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=30,
-                market=market,
-                truth=truth,
+                repro.EstimationRequest(
+                    queried=tiny_dataset.queried,
+                    slot=tiny_dataset.slot,
+                    budget=30,
+                    warm_start=False,
+                ),
+                market=market, truth=truth,
             )
             truths = np.array([truth(q) for q in tiny_dataset.queried])
             gsp_errors.append(

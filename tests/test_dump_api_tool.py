@@ -20,7 +20,7 @@ def test_dump_surface_is_deterministic_and_sorted():
     second = dump_api.dump_surface()
     assert first == second
     assert first == sorted(first)
-    assert len(first) > 100  # the frozen v1 surface is substantial
+    assert len(first) > 100  # the frozen v2 surface is substantial
     assert any(line.startswith("repro.CrowdRTSE ") for line in first)
 
 

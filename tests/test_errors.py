@@ -118,11 +118,13 @@ class TestAnswerQueryBoundary:
         truth = repro.truth_oracle_for(tiny_dataset.test_history, 0, tiny_dataset.slot)
         with pytest.raises(errors.InternalError) as excinfo:
             tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=15,
-                market=market,
-                truth=truth,
+                repro.EstimationRequest(
+                    queried=tiny_dataset.queried,
+                    slot=tiny_dataset.slot,
+                    budget=15,
+                    warm_start=False,
+                ),
+                market=market, truth=truth,
             )
         assert excinfo.value.stage == "ocs"
         assert isinstance(excinfo.value.original, ValueError)
@@ -148,15 +150,17 @@ class TestDeprecationOnce:
         with pytest.warns(DeprecationWarning):
             assert errors.warn_deprecated_once(key, "beta gone") is True
 
-    def test_gsp_alias_warns_once_per_process(self, small_world):
-        """The documented contract: one warning per alias per process."""
-        from repro.core.gsp import GSPEngine
+    def test_warns_once_across_call_sites(self):
+        """One warning per key per process, whichever site raises it."""
+        key = "test.once.gamma"
 
-        engine = GSPEngine(small_world["network"])
-        result = engine.propagate(small_world["params"], {0: 30.0})
-        errors.reset_deprecation_warnings("gsp.result.structure_cache_hit")
-        with pytest.warns(DeprecationWarning):
-            result.structure_cache_hit
+        def old_property():
+            return errors.warn_deprecated_once(key, "gamma gone")
+
+        errors.reset_deprecation_warnings(key)
+        with pytest.warns(DeprecationWarning, match="gamma gone"):
+            assert old_property() is True
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result.structure_cache_hit  # silent on repeat access
+            assert errors.warn_deprecated_once(key, "gamma gone") is False
+            assert old_property() is False

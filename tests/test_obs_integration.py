@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import errors, obs
+from repro import obs
 from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule
 from repro.errors import ConvergenceWarning
 
@@ -45,8 +45,14 @@ def query_world(tiny_dataset, tiny_system):
 def run_query(query_world, **kwargs):
     data, system, market, truth = query_world
     return system.answer_query(
-        data.queried, data.slot, budget=20, market=market, truth=truth,
-        rng=np.random.default_rng(6), **kwargs,
+        repro.EstimationRequest(
+            queried=data.queried,
+            slot=data.slot,
+            budget=20,
+            rng=np.random.default_rng(6),
+            warm_start=False,
+        ),
+        market=market, truth=truth, **kwargs,
     )
 
 
@@ -139,25 +145,6 @@ class TestMetricsCatalog:
         assert lookups[(("cache", "structure"), ("result", "hit"))] == 1
         assert lookups[(("cache", "schedule"), ("result", "miss"))] == 1
         assert lookups[(("cache", "schedule"), ("result", "hit"))] == 1
-
-
-class TestDeprecatedAliases:
-    def test_gspresult_cache_flags_warn_but_work(self, small_world):
-        engine = GSPEngine(small_world["network"])
-        cfg = GSPConfig(schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED)
-        first = engine.propagate(small_world["params"], {0: 30.0}, cfg)
-        second = engine.propagate(small_world["params"], {0: 30.0}, cfg)
-        # The aliases warn once per process; clear the dedup registry so
-        # this test is order-independent.
-        errors.reset_deprecation_warnings("gsp.result.structure_cache_hit")
-        errors.reset_deprecation_warnings("gsp.result.schedule_cache_hit")
-        with pytest.warns(DeprecationWarning, match="structure_cache_hit"):
-            assert first.structure_cache_hit is False
-        with pytest.warns(DeprecationWarning, match="schedule_cache_hit"):
-            assert second.schedule_cache_hit is True
-        # The replacement surface carries the same information silently.
-        assert second.provenance.structure_cache_hit is True
-        assert first.provenance.schedule_cache_hit is False
 
 
 class TestConvergenceWarnings:

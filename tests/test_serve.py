@@ -22,8 +22,6 @@ from repro.serve import (
     QueryService,
     ReplayReport,
     ServeConfig,
-    ServeRequest,
-    WorkloadItem,
     load_workload,
     replay,
     save_workload,
@@ -66,9 +64,10 @@ def make_request(world, slot=None, seed=0, **overrides):
         market=make_market(data, seed),
         truth=world["truths"][slot],
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
     kwargs.update(overrides)
-    return ServeRequest(**kwargs)
+    return EstimationRequest(**kwargs)
 
 
 class CountingMarket:
@@ -137,12 +136,14 @@ class TestAdmission:
         with QueryService(serve_world["system"]) as service:
             served = service.serve(request)
         direct = serve_world["system"].answer_query(
-            request.queried,
-            request.slot,
-            budget=request.budget,
-            market=make_market(serve_world["data"], 11),
-            truth=request.truth,
-            rng=np.random.default_rng(11),
+            EstimationRequest(
+                queried=request.queried,
+                slot=request.slot,
+                budget=request.budget,
+                rng=np.random.default_rng(11),
+                warm_start=False,
+            ),
+            market=make_market(serve_world["data"], 11), truth=request.truth,
         )
         np.testing.assert_allclose(served.estimates_kmh, direct.estimates_kmh)
         assert served.model_version == direct.model_version
@@ -333,14 +334,16 @@ class TestCoalescing:
 
         for k, (request, result) in enumerate(zip(requests, served)):
             oracle = serve_world["system"].answer_query(
-                request.queried,
-                request.slot,
-                budget=request.budget,
-                market=make_market(data, 100 + k),
-                truth=request.truth,
-                theta=request.theta,
-                selector=request.selector,
-                rng=np.random.default_rng(100 + k),
+                EstimationRequest(
+                    queried=request.queried,
+                    slot=request.slot,
+                    budget=request.budget,
+                    theta=request.theta,
+                    selector=request.selector,
+                    rng=np.random.default_rng(100 + k),
+                    warm_start=False,
+                ),
+                market=make_market(data, 100 + k), truth=request.truth,
             )
             np.testing.assert_allclose(
                 result.estimates_kmh, oracle.estimates_kmh, rtol=1e-10
@@ -449,35 +452,12 @@ class TestWorkload:
         save_workload(items, path)
         assert load_workload(path) == items
 
-    def test_legacy_workload_item_still_loads(self, tmp_path):
-        errors.reset_deprecation_warnings("serve.workload_item")
-        with pytest.warns(DeprecationWarning):
-            items = [
-                WorkloadItem(
-                    slot=94, queried=(4,), budget=10.0, theta=0.9,
-                    selector="ratio", deadline_ms=250.0, day=1,
-                ),
-            ]
-        path = tmp_path / "trace.jsonl"
-        save_workload(items, path)
-        loaded = load_workload(path)
-        assert loaded == [items[0].as_request()]
-        assert loaded[0].deadline_s == pytest.approx(0.25)
-        # The canonical writer never emits the deprecated key.
-        assert "deadline_ms" not in path.read_text()
-
-    def test_deadline_ms_key_still_loads_and_conflicts_rejected(self, tmp_path):
+    def test_deadline_ms_key_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"slot": 1, "queried": [1], "budget": 5, "deadline_ms": 500}\n'
         )
-        loaded = load_workload(path)
-        assert loaded[0].deadline_s == pytest.approx(0.5)
-        path.write_text(
-            '{"slot": 1, "queried": [1], "budget": 5, '
-            '"deadline_ms": 500, "deadline_s": 0.5}\n'
-        )
-        with pytest.raises(errors.DatasetError, match="both deadline_s"):
+        with pytest.raises(errors.DatasetError, match="unknown keys.*deadline_ms"):
             load_workload(path)
 
     def test_bad_precision_rejected_as_dataset_error(self, tmp_path):
@@ -532,11 +512,11 @@ class TestWorkload:
         )
 
         def bind(item):
-            return ServeRequest(
+            return EstimationRequest(
                 queried=item.queried,
                 slot=item.slot,
                 budget=item.budget,
-                truth=serve_world["truths"][item.slot],
+                truth=serve_world["truths"][item.slot], warm_start=False,
             )
 
         market = make_market(serve_world["data"], 7)

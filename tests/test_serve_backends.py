@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro import errors, obs
 from repro.backends.rtf_gsp import RTFGSPState
-from repro.serve import QueryService, ServeConfig, ServeRequest, ShadowStats
+from repro.serve import EstimationRequest, QueryService, ServeConfig, ShadowStats
 
 N_SERVE_SLOTS = 2
 ATTACHED = ("gmrf", "lsmrn", "per")
@@ -56,9 +56,10 @@ def make_request(world, slot=None, seed=0, **overrides):
         market=make_market(data, seed),
         truth=world["truths"][slot],
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
     kwargs.update(overrides)
-    return ServeRequest(**kwargs)
+    return EstimationRequest(**kwargs)
 
 
 class CountingMarket:
@@ -196,12 +197,14 @@ class TestBackendCoalescing:
         service.close()
 
         oracle = serve_world["system"].answer_query(
-            served.request.queried,
-            served.request.slot,
-            budget=served.request.budget,
-            market=make_market(data, 300),
-            truth=served.request.truth,
-            rng=np.random.default_rng(300),
+            repro.EstimationRequest(
+                queried=served.request.queried,
+                slot=served.request.slot,
+                budget=served.request.budget,
+                rng=np.random.default_rng(300),
+                warm_start=False,
+            ),
+            market=make_market(data, 300), truth=served.request.truth,
         )
         np.testing.assert_allclose(
             served.estimates_kmh, oracle.estimates_kmh, rtol=1e-10

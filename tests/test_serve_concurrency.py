@@ -12,6 +12,7 @@ stack dump instead of hanging the job.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import List
 
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.serve import QueryService, ServeConfig, ServeRequest
+from repro.serve import EstimationRequest, QueryService, ServeConfig
+from tests.test_serve import CountingMarket
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def world(tiny_dataset):
 
 def _request(world, seed):
     data = world["data"]
-    return ServeRequest(
+    return EstimationRequest(
         queried=tuple(data.queried[:6]),
         slot=data.slot,
         budget=12,
@@ -49,6 +51,7 @@ def _request(world, seed):
         ),
         truth=world["truth"],
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
 
 
@@ -183,3 +186,50 @@ class TestServeUnderRefresh:
         for ticket in tickets:
             ticket.result(timeout=120)
         service.close()
+
+
+class TestCoalescingUnderWorkerRace:
+    N_TRIALS = 60
+
+    @staticmethod
+    def _probe_calls_for_one_burst(world, trial):
+        data = world["data"]
+        market = CountingMarket(
+            repro.CrowdMarket(
+                data.network, data.pool, data.cost_model,
+                rng=np.random.default_rng(trial),
+            )
+        )
+        request = EstimationRequest(
+            queried=tuple(data.queried[:6]),
+            slot=data.slot,
+            budget=12,
+            market=market,
+            truth=world["truth"],
+            warm_start=False,
+        )
+        service = QueryService(
+            world["system"], config=ServeConfig(num_workers=4), autostart=False
+        )
+        tickets = [service.submit(request) for _ in range(16)]
+        service.start()
+        results = [ticket.result(timeout=60) for ticket in tickets]
+        service.close()
+        assert sum(not r.coalesced for r in results) >= 1
+        return market.probe_calls
+
+    def test_identical_burst_probes_once_across_workers(self, world):
+        """Four workers racing for one queued burst of 16 duplicates:
+        the leader and its followers leave the queue together, so the
+        shared market is probed exactly once per burst."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers' pops finely
+        try:
+            calls = [
+                self._probe_calls_for_one_burst(world, trial)
+                for trial in range(self.N_TRIALS)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        split = [(trial, n) for trial, n in enumerate(calls) if n != 1]
+        assert split == []

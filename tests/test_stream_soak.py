@@ -31,7 +31,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.serve import QueryService, ServeConfig, ServeRequest
+from repro.serve import EstimationRequest, QueryService, ServeConfig
 from repro.stream import (
     SLOT_SECONDS,
     StreamConfig,
@@ -63,9 +63,9 @@ def world(tiny_dataset):
     }
 
 
-def _request(world, seed: int) -> ServeRequest:
+def _request(world, seed: int) -> EstimationRequest:
     data = world["data"]
-    return ServeRequest(
+    return EstimationRequest(
         queried=tuple(data.queried[:6]),
         slot=data.slot,
         budget=12,
@@ -75,6 +75,7 @@ def _request(world, seed: int) -> ServeRequest:
         ),
         truth=world["truth"],
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
 
 

@@ -1,6 +1,6 @@
 """RA004: public entry points raise only ``ReproError`` subclasses.
 
-The v1 contract (docs/API.md) promises callers of the pipeline facade,
+The v2 contract (docs/API.md) promises callers of the pipeline facade,
 the serving layer, and the CLI that every failure surfaces as a
 ``ReproError`` — internal slips are converted by ``wrap_internal``.
 This rule walks every ``raise`` in those modules and flags raises of
