@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ModelError, QueryTimeoutError, SelectionError, wrap_internal
+from repro.errors import ModelError, QueryTimeoutError, ReproError, SelectionError, wrap_internal
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 from repro.core.correlation import CorrelationTable, PathWeightMode
 from repro.core.gsp import GSPConfig, GSPEngine, GSPResult, PrecisionPolicy
@@ -132,21 +132,22 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query after OCS + probing, before GSP propagation.
+    """A query after OCS + probing, before the estimate stage.
 
-    Intermediate product of :meth:`CrowdRTSE._select_and_probe`; the
-    serving layer collects several of these off one pinned snapshot and
-    propagates them in a single :meth:`GSPEngine.propagate_batch` call.
+    Intermediate product of :meth:`CrowdRTSE._select_and_probe`, consumed
+    by :meth:`CrowdRTSE._estimate`.  ``request`` is bound (it carries its
+    market and truth oracle); ``started_s`` is the ``perf_counter``
+    reading at which selection began.
     """
 
-    queried: Tuple[int, ...]
-    slot: int
-    selector: str
+    request: EstimationRequest
     selection: OCSResult
     probes: Dict[int, float]
     receipts: Tuple[ProbeReceipt, ...]
     ledger: BudgetLedger
     snapshot: ModelSnapshot
+    deadline: Optional[Deadline]
+    started_s: float
 
 
 class CrowdRTSE:
@@ -374,9 +375,10 @@ class CrowdRTSE:
     ) -> "BackendEstimate":
         """Run one attached backend's estimator on already-gathered probes.
 
-        The backend-path analogue of the GSP stage: the serving layer's
-        batched path and shadow mode call it directly with the probes a
-        prepared query collected.
+        The estimate stage (:meth:`_estimate`) calls it for every query
+        whose request names a non-default backend; the serving layer's
+        shadow mode calls it directly to re-score an answered query's
+        probes.
 
         Args:
             name: Attached backend name.
@@ -441,16 +443,18 @@ class CrowdRTSE:
         """OCS selection + crowd probing against one pinned snapshot.
 
         The first two stages of the Fig. 1 online loop, shared by
-        :meth:`answer_query` and the serving layer's coalesced batch
-        path (which runs this per request and then batches the GSP
-        stage).  ``request`` must already carry its market and truth
-        oracle.  Remark 2's closed-form optima answer the instance when
-        they apply (θ = 1, unit costs, over-adequate budget or few
-        queried roads); otherwise the request's selector runs.
-        Deadlines are checked at each stage boundary; stray internal
-        exceptions are wrapped per the docs/API.md exception contract.
+        :meth:`answer_query` and the serving layer (which runs this per
+        distinct request, then hands the whole batch to
+        :meth:`_estimate`).  ``request`` must already carry its market
+        and truth oracle.  Remark 2's closed-form optima answer the
+        instance when they apply (θ = 1, unit costs, over-adequate
+        budget or few queried roads); otherwise the request's selector
+        runs.  Deadlines are checked at each stage boundary; stray
+        internal exceptions are wrapped per the docs/API.md exception
+        contract.
         """
         assert request.market is not None and request.truth is not None
+        started_s = time.perf_counter()
         selector = request.selector
         tracer = get_tracer()
         if deadline is not None:
@@ -487,53 +491,35 @@ class CrowdRTSE:
                 selection.selected, request.truth, ledger
             )
         return PreparedQuery(
-            queried=request.queried,
-            slot=request.slot,
-            selector=selector,
+            request=request,
             selection=selection,
             probes=probes,
             receipts=tuple(receipts),
             ledger=ledger,
             snapshot=snapshot,
+            deadline=deadline,
+            started_s=started_s,
         )
 
     @staticmethod
     def _assemble_result(
-        prepared: "PreparedQuery", gsp_result: GSPResult
+        prepared: PreparedQuery,
+        field_kmh: np.ndarray,
+        gsp_result: Optional[GSPResult],
     ) -> QueryResult:
-        """Slice the propagated field into the final :class:`QueryResult`."""
-        estimates = gsp_result.speeds[
-            np.asarray(prepared.queried, dtype=int)
-        ]
+        """Slice an estimated field into the final :class:`QueryResult`."""
+        request = prepared.request
         return QueryResult(
-            queried=prepared.queried,
-            estimates_kmh=estimates,
-            full_field_kmh=gsp_result.speeds,
+            queried=request.queried,
+            estimates_kmh=field_kmh[np.asarray(request.queried, dtype=int)],
+            full_field_kmh=field_kmh,
             selection=prepared.selection,
             probes=prepared.probes,
             receipts=prepared.receipts,
             gsp=gsp_result,
             budget_spent=prepared.ledger.spent,
             model_version=prepared.snapshot.version,
-        )
-
-    @staticmethod
-    def _assemble_backend_result(
-        prepared: "PreparedQuery", field_kmh: np.ndarray, backend: str
-    ) -> QueryResult:
-        """Assemble a :class:`QueryResult` from a backend's field."""
-        estimates = field_kmh[np.asarray(prepared.queried, dtype=int)]
-        return QueryResult(
-            queried=prepared.queried,
-            estimates_kmh=estimates,
-            full_field_kmh=field_kmh,
-            selection=prepared.selection,
-            probes=prepared.probes,
-            receipts=prepared.receipts,
-            gsp=None,
-            budget_spent=prepared.ledger.spent,
-            model_version=prepared.snapshot.version,
-            backend=backend,
+            backend=request.backend,
         )
 
     def answer_query(
@@ -602,7 +588,6 @@ class CrowdRTSE:
             deadline = Deadline.after(req.deadline_s)
 
         tracer = get_tracer()
-        start = time.perf_counter()
         # Pin ONE model version for the whole query: a refresh published
         # while this query is in flight must not mix generations between
         # the OCS correlations and the GSP parameters.
@@ -616,32 +601,89 @@ class CrowdRTSE:
             model_version=snap.version,
         ) as query_span:
             prepared = self._select_and_probe(req, snap, deadline)
-            if req.backend != "rtf_gsp":
-                # Pluggable-estimator path: the attached backend turns
-                # the probes into the field; GSP never runs.
-                estimate = self.estimate_with_backend(
-                    req.backend, prepared.probes, req.slot,
-                    snapshot=snap, deadline=deadline,
-                )
-                query_span.set_attr("budget_spent", prepared.ledger.spent)
-                query_span.set_attr("backend", req.backend)
-                self._record_query_metrics(
-                    req.selector, prepared.ledger, time.perf_counter() - start
-                )
-                return self._assemble_backend_result(
-                    prepared, estimate.speeds, req.backend
-                )
-            if deadline is not None:
-                deadline.check("gsp")
-            gsp_result = self._propagate_prepared(prepared, req, gsp_config)
-            query_span.set_attr("budget_spent", prepared.ledger.spent)
-            query_span.set_attr("gsp_sweeps", gsp_result.sweeps)
-        self._record_query_metrics(
-            req.selector, prepared.ledger, time.perf_counter() - start
-        )
-        return self._assemble_result(prepared, gsp_result)
+            (outcome,) = self._estimate([prepared], gsp_config)
+            if isinstance(outcome, ReproError):
+                raise outcome
+            query_span.set_attr("budget_spent", outcome.budget_spent)
+            if outcome.gsp is not None:
+                query_span.set_attr("gsp_sweeps", outcome.gsp.sweeps)
+            else:
+                query_span.set_attr("backend", outcome.backend)
+        return outcome
 
-    # -- GSP stage helpers (shared with the serving layer's batch path) --
+    def _estimate(
+        self,
+        prepared: Sequence[PreparedQuery],
+        gsp_config: Optional[GSPConfig],
+    ) -> List[Union[QueryResult, ReproError]]:
+        """The estimate stage: turn probed queries into answers.
+
+        Every answer ends here: :meth:`answer_query` passes its one
+        query, the serving layer every distinct request of a worker
+        batch.  Default ``rtf_gsp`` queries run as one
+        :meth:`GSPEngine.propagate_batch` call per precision (the kernel
+        dtype is a config-level property).  Each group fetches every
+        warm-start seed before it stores any, so the queries of one
+        batch seed from earlier answers, never from each other.  Other
+        backends answer through :meth:`estimate_with_backend`.
+
+        Returns:
+            One outcome per query, in input order: its
+            :class:`QueryResult`, or the :class:`ReproError` that failed
+            it.  A GSP failure fails its whole precision group (stray
+            internal exceptions arrive as ``InternalError("gsp")``).
+        """
+        outcomes: Dict[int, Union[QueryResult, ReproError]] = {}
+        groups: Dict[str, List[int]] = {}
+        for k, query in enumerate(prepared):
+            request = query.request
+            try:
+                if request.backend == "rtf_gsp":
+                    if query.deadline is not None:
+                        query.deadline.check("gsp")
+                    groups.setdefault(request.precision, []).append(k)
+                    continue
+                estimate = self.estimate_with_backend(
+                    request.backend, query.probes, request.slot,
+                    snapshot=query.snapshot, deadline=query.deadline,
+                )
+                outcomes[k] = self._assemble_result(query, estimate.speeds, None)
+            except ReproError as exc:
+                outcomes[k] = exc
+        for precision, members in groups.items():
+            group = [prepared[k] for k in members]
+            keys = [frozenset(query.probes) for query in group]
+            seeds = [
+                self._warm_seed(query, key) for query, key in zip(group, keys)
+            ]
+            items = [
+                (query.snapshot.slot(query.request.slot), query.probes)
+                for query in group
+            ]
+            try:
+                with wrap_internal("gsp"):
+                    results = self._gsp_engine.propagate_batch(
+                        items,
+                        self.resolve_gsp_config(gsp_config, precision),
+                        initial_fields=seeds,
+                    )
+            except ReproError as exc:
+                for k in members:
+                    outcomes[k] = exc
+                continue
+            for k, query, key, gsp_result in zip(members, group, keys, results):
+                if query.request.warm_start and gsp_result.converged:
+                    query.snapshot.store_warm_field(
+                        query.request.slot, key, gsp_result.speeds
+                    )
+                outcomes[k] = self._assemble_result(
+                    query, gsp_result.speeds, gsp_result
+                )
+        finished_s = time.perf_counter()
+        for k, query in enumerate(prepared):
+            if isinstance(outcomes[k], QueryResult):
+                self._record_query_metrics(query, finished_s)
+        return [outcomes[k] for k in range(len(prepared))]
 
     @staticmethod
     def resolve_gsp_config(
@@ -660,22 +702,20 @@ class CrowdRTSE:
         base = gsp_config if gsp_config is not None else GSPConfig()
         return base.with_precision(policy)
 
+    @staticmethod
     def _warm_seed(
-        self,
-        snapshot: ModelSnapshot,
-        slot: int,
-        observed_key: frozenset,
-        enabled: bool,
-    ) -> Tuple[Optional[np.ndarray], str]:
-        """Fetch a warm-start seed and publish the outcome counter.
+        prepared: PreparedQuery, observed_key: frozenset
+    ) -> Optional[np.ndarray]:
+        """Fetch a query's warm-start seed and publish the outcome counter.
 
         Outcomes mirror the ``gsp.warm_start`` metric: ``used`` (seed
         found for this exact digest + R^c), ``miss`` (nothing cached),
         ``mismatch`` (cached under a different R^c), ``disabled``
         (request opted out).
         """
-        if enabled:
-            seed, outcome = snapshot.warm_field(slot, observed_key)
+        request = prepared.request
+        if request.warm_start:
+            seed, outcome = prepared.snapshot.warm_field(request.slot, observed_key)
             if outcome == "hit":
                 outcome = "used"
         else:
@@ -683,55 +723,17 @@ class CrowdRTSE:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("gsp.warm_start", {"outcome": outcome}).inc()
-        return seed, outcome
-
-    def _store_warm(
-        self,
-        snapshot: ModelSnapshot,
-        slot: int,
-        observed_key: frozenset,
-        gsp_result: GSPResult,
-        enabled: bool,
-    ) -> None:
-        """Write a converged field back as the slot's warm-start seed."""
-        if enabled and gsp_result.converged:
-            snapshot.store_warm_field(slot, observed_key, gsp_result.speeds)
-
-    def _propagate_prepared(
-        self,
-        prepared: "PreparedQuery",
-        request: EstimationRequest,
-        gsp_config: Optional[GSPConfig],
-    ) -> GSPResult:
-        """The GSP stage of one prepared query, warm-start managed."""
-        cfg = self.resolve_gsp_config(gsp_config, request.precision)
-        observed_key = frozenset(prepared.probes)
-        seed, _ = self._warm_seed(
-            prepared.snapshot, request.slot, observed_key, request.warm_start
-        )
-        with wrap_internal("gsp"):
-            gsp_result = self._gsp_engine.propagate(
-                prepared.snapshot.slot(request.slot),
-                prepared.probes,
-                cfg,
-                initial_field=seed,
-            )
-        self._store_warm(
-            prepared.snapshot, request.slot, observed_key,
-            gsp_result, request.warm_start,
-        )
-        return gsp_result
+        return seed
 
     @staticmethod
-    def _record_query_metrics(
-        selector: str, ledger: BudgetLedger, latency_seconds: float
-    ) -> None:
+    def _record_query_metrics(prepared: PreparedQuery, finished_s: float) -> None:
+        """Count one executed answer on the ``pipeline.*`` series."""
         metrics = get_metrics()
         if not metrics.enabled:
             return
-        labels = {"selector": selector}
+        labels = {"selector": prepared.request.selector}
         metrics.counter("pipeline.queries", labels).inc()
         metrics.histogram(
             "pipeline.latency_seconds", DEFAULT_TIME_BUCKETS, labels
-        ).observe(latency_seconds)
-        metrics.counter("pipeline.budget_spent").inc(ledger.spent)
+        ).observe(finished_s - prepared.started_s)
+        metrics.counter("pipeline.budget_spent").inc(prepared.ledger.spent)

@@ -18,11 +18,11 @@ properties a serving tier needs:
   :class:`~repro.errors.QueryTimeoutError`.
 * **Coalescing** — a worker drains every queued request for the same
   slot into one batch served off **one pinned snapshot**: identical
-  requests share a single pipeline execution, and distinct same-slot
-  requests share one
-  :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call, so the
-  engine's cached propagation structures are looked up once per batch
-  rather than once per request.
+  requests share a single pipeline execution.  Every batch takes the
+  same path: each distinct request is selected and probed on its own,
+  then the system's estimate stage answers them all together — one
+  :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call per precision,
+  in which each item still does its own structure lookup.
 * **Graceful degradation** — when the deadline is (nearly) spent or the
   crowd cannot be probed (budget exhausted, no workers), the request
   falls back to the Per baseline
@@ -43,7 +43,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ContextManager, Deque, Dict, List, Optional, Tuple
+from typing import ContextManager, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.baselines.periodic import periodic_field
-from repro.core.gsp import GSPConfig, GSPResult
+from repro.core.gsp import GSPConfig
 from repro.core.pipeline import CrowdRTSE, Deadline, PreparedQuery, QueryResult
 from repro.core.request import EstimationRequest
 from repro.core.store import ModelSnapshot
@@ -133,12 +133,9 @@ class ServeConfig:
         serialize_probes: Hold a service-wide lock while a request is
             selected and probed, so a market shared between requests
             (one RNG, one worker pool) is never driven from two threads
-            at once.  The lock's scope depends on the batch: a batch
-            with one unique request (every duplicate shares it) holds
-            the lock across its whole ``answer_query`` — OCS, probing
-            *and* GSP — while a batch of several distinct same-slot
-            requests holds it only around each request's OCS + probing
-            and runs the shared GSP batch outside it.
+            at once.  The lock covers each distinct request's OCS +
+            probing and nothing else: the batch's estimate stage (GSP
+            or a backend) always runs outside it.
         gsp_config: Propagation knobs applied to every served query.
         shed_on_failing: Pre-emptive load shedding: when an installed
             :class:`repro.obs.health.HealthMonitor` reports the process
@@ -538,15 +535,7 @@ class QueryService:
                 n_shared = len(batch) - len(buckets)
                 if n_shared and metrics.enabled:
                     metrics.counter("serve.coalesced").inc(n_shared)
-                if len(buckets) == 1:
-                    # No cross-request batching needed: the leader runs
-                    # the plain pipeline (serve.request nested around
-                    # pipeline.answer_query) and every duplicate shares
-                    # its answer.
-                    for tickets in buckets.values():
-                        self._serve_bucket_single(tickets, snapshot)
-                else:
-                    self._serve_buckets_batched(list(buckets.values()), snapshot)
+                self._serve_buckets(list(buckets.values()), snapshot)
 
     @staticmethod
     def _coalesce_key(ticket: ServeTicket) -> tuple:
@@ -565,65 +554,21 @@ class QueryService:
             id(request.rng),
         )
 
-    # -- execution paths ------------------------------------------------
+    # -- execution path -------------------------------------------------
 
-    def _serve_bucket_single(
-        self, tickets: List[ServeTicket], snapshot: ModelSnapshot
-    ) -> None:
-        """One unique request (possibly many duplicates): full pipeline."""
-        tracer = get_tracer()
-        leader = tickets[0]
-        request = leader.request
-        with tracer.span(
-            "serve.request",
-            slot=int(request.slot),
-            queried=len(request.queried),
-            shared_by=len(tickets),
-        ):
-            if self._should_degrade_now(leader):
-                self._finish_timeout(
-                    tickets, snapshot, self._queue_timeout(leader)
-                )
-                return
-            try:
-                with self._maybe_probe_lock():
-                    # The transitive wait is the artifact cache's
-                    # single-flight Event: bounded by one derivation on
-                    # a thread that never takes the probe lock, and
-                    # serialize_probes opts into exactly this hold.
-                    result = self._system.answer_query(  # repro: noqa[RA012]
-                        request,
-                        market=self._market_of(request),
-                        truth=self._truth_of(request),
-                        gsp_config=self._config.gsp_config,
-                        snapshot=snapshot,
-                        deadline=leader.deadline,
-                    )
-            except QueryTimeoutError as exc:
-                self._finish_timeout(tickets, snapshot, exc)
-                return
-            except (BudgetError, NoWorkersError):
-                self._finish_degraded(tickets, snapshot, DEGRADED_BUDGET)
-                return
-            except ReproError as exc:
-                self._fail_all(tickets, exc)
-                return
-            except Exception as exc:
-                self._fail_all(tickets, InternalError("serve", exc))
-                return
-        self._finish_ok(tickets, result, snapshot)
-
-    def _serve_buckets_batched(
+    def _serve_buckets(
         self, buckets: List[List[ServeTicket]], snapshot: ModelSnapshot
     ) -> None:
-        """Several distinct same-slot requests: shared GSP batch.
+        """Select and probe each distinct request, then estimate them together.
 
-        OCS + probing run per unique request; the propagation stage is
-        one :meth:`GSPEngine.propagate_batch` call, so structure lookups
-        and schedule compilations are shared across the whole batch.
+        Each bucket (one distinct request and its duplicates) runs OCS +
+        probing under its own ``serve.request`` span, holding the probe
+        lock only for that; the system's estimate stage then answers
+        every probed bucket at once, outside the lock.
         """
         tracer = get_tracer()
-        ready: List[Tuple[List[ServeTicket], PreparedQuery]] = []
+        ready: List[List[ServeTicket]] = []
+        prepared: List[PreparedQuery] = []
         for tickets in buckets:
             leader = tickets[0]
             request = leader.request
@@ -632,7 +577,6 @@ class QueryService:
                 slot=int(request.slot),
                 queried=len(request.queried),
                 shared_by=len(tickets),
-                gsp_batched=True,
             ):
                 if self._should_degrade_now(leader):
                     self._finish_timeout(
@@ -641,122 +585,31 @@ class QueryService:
                     continue
                 try:
                     with self._maybe_probe_lock():
-                        # Same single-flight artifact-cache wait as the
-                        # single path above; see that justification.
-                        prepared = self._system._select_and_probe(  # repro: noqa[RA012]
+                        # The transitive wait is the artifact cache's
+                        # single-flight Event: bounded by one derivation
+                        # on a thread that never takes the probe lock,
+                        # and serialize_probes opts into exactly this
+                        # hold.
+                        query = self._system._select_and_probe(  # repro: noqa[RA012]
                             request.bound(
                                 self._market_of(request), self._truth_of(request)
                             ),
                             snapshot,
                             leader.deadline,
                         )
-                except QueryTimeoutError as exc:
-                    self._finish_timeout(tickets, snapshot, exc)
-                    continue
-                except (BudgetError, NoWorkersError):
-                    self._finish_degraded(tickets, snapshot, DEGRADED_BUDGET)
-                    continue
-                except ReproError as exc:
-                    self._fail_all(tickets, exc)
-                    continue
                 except Exception as exc:
-                    self._fail_all(tickets, InternalError("serve", exc))
+                    self._finish_error(tickets, snapshot, exc)
                     continue
-            if leader.deadline is not None and leader.deadline.expired:
-                # Probes landed too late to propagate within budget.
-                self._finish_timeout(
-                    tickets, snapshot,
-                    QueryTimeoutError(
-                        "gsp",
-                        leader.deadline.budget_seconds - leader.deadline.remaining(),
-                        leader.deadline.budget_seconds,
-                    ),
-                )
-                continue
-            ready.append((tickets, prepared))
-        if not ready:
+            ready.append(tickets)
+            prepared.append(query)
+        if not prepared:
             return
-        # Non-default backends answer bucket-by-bucket off the shared
-        # snapshot; only the rtf_gsp buckets share a propagation batch.
-        gsp_ready: List[Tuple[List[ServeTicket], PreparedQuery]] = []
-        for tickets, prepared in ready:
-            leader = tickets[0]
-            backend = leader.request.backend
-            if backend == "rtf_gsp":
-                gsp_ready.append((tickets, prepared))
-                continue
-            try:
-                estimate = self._system.estimate_with_backend(
-                    backend,
-                    prepared.probes,
-                    prepared.slot,
-                    snapshot=snapshot,
-                    deadline=leader.deadline,
-                )
-            except QueryTimeoutError as exc:
-                self._finish_timeout(tickets, snapshot, exc)
-                continue
-            except ReproError as exc:
-                self._fail_all(tickets, exc)
-                continue
-            except Exception as exc:
-                self._fail_all(tickets, InternalError("serve", exc))
-                continue
-            self._finish_ok(
-                tickets,
-                self._system._assemble_backend_result(
-                    prepared, estimate.speeds, backend
-                ),
-                snapshot,
-            )
-        if not gsp_ready:
-            return
-        # One propagate_batch call per precision (the kernel dtype is a
-        # config-level property, not per-item); within each group every
-        # item carries its own warm-start seed.
-        by_precision: Dict[str, List[Tuple[List[ServeTicket], PreparedQuery]]] = {}
-        for tickets, prepared in gsp_ready:
-            by_precision.setdefault(
-                tickets[0].request.precision, []
-            ).append((tickets, prepared))
-        for precision, group in by_precision.items():
-            self._propagate_group(group, snapshot, precision)
-
-    def _propagate_group(
-        self,
-        group: List[Tuple[List[ServeTicket], PreparedQuery]],
-        snapshot: ModelSnapshot,
-        precision: str,
-    ) -> None:
-        """Propagate one same-precision group as a single GSP batch."""
-        cfg = CrowdRTSE.resolve_gsp_config(self._config.gsp_config, precision)
-        items = []
-        seeds: List[Optional[np.ndarray]] = []
-        keys: List[frozenset] = []
-        for tickets, prepared in group:
-            request = tickets[0].request
-            observed_key = frozenset(prepared.probes)
-            seed, _ = self._system._warm_seed(
-                snapshot, prepared.slot, observed_key, request.warm_start
-            )
-            items.append((snapshot.slot(prepared.slot), prepared.probes))
-            seeds.append(seed)
-            keys.append(observed_key)
-        gsp_results: List[GSPResult] = self._system.gsp_engine.propagate_batch(
-            items, cfg, initial_fields=seeds
-        )
-        for (tickets, prepared), observed_key, gsp_result in zip(
-            group, keys, gsp_results
-        ):
-            self._system._store_warm(
-                snapshot, prepared.slot, observed_key, gsp_result,
-                tickets[0].request.warm_start,
-            )
-            self._finish_ok(
-                tickets,
-                self._system._assemble_result(prepared, gsp_result),
-                snapshot,
-            )
+        outcomes = self._system._estimate(prepared, self._config.gsp_config)
+        for tickets, outcome in zip(ready, outcomes):
+            if isinstance(outcome, QueryResult):
+                self._finish_ok(tickets, outcome, snapshot)
+            else:
+                self._finish_error(tickets, snapshot, outcome)
 
     # -- helpers --------------------------------------------------------
 
@@ -837,6 +690,19 @@ class QueryService:
             self._finish_degraded(tickets, snapshot, DEGRADED_DEADLINE)
         else:
             self._fail_all(tickets, exc)
+
+    def _finish_error(
+        self, tickets: List[ServeTicket], snapshot: ModelSnapshot, exc: Exception
+    ) -> None:
+        """Resolve a failed bucket: degrade, or fail with a typed error."""
+        if isinstance(exc, QueryTimeoutError):
+            self._finish_timeout(tickets, snapshot, exc)
+        elif isinstance(exc, (BudgetError, NoWorkersError)):
+            self._finish_degraded(tickets, snapshot, DEGRADED_BUDGET)
+        elif isinstance(exc, ReproError):
+            self._fail_all(tickets, exc)
+        else:
+            self._fail_all(tickets, InternalError("serve", exc))
 
     def _finish_degraded(
         self, tickets: List[ServeTicket], snapshot: ModelSnapshot, reason: str

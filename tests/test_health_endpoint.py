@@ -166,7 +166,7 @@ class TestInternalErrorBlackBox:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic worker fault")
 
-        monkeypatch.setattr(tiny_system, "answer_query", boom)
+        monkeypatch.setattr(tiny_system, "_select_and_probe", boom)
         market = repro.CrowdMarket(
             tiny_dataset.network,
             tiny_dataset.pool,

@@ -8,6 +8,8 @@ degraded fallback's provable equivalence to the Per baseline.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,22 @@ class FailingMarket:
         return getattr(self._inner, name)
 
 
+class SignallingMarket:
+    """Delegating market that sets an event once it has probed."""
+
+    def __init__(self, inner, probed):
+        self._inner = inner
+        self._probed = probed
+
+    def probe(self, roads, truth, ledger=None):
+        answer = self._inner.probe(roads, truth, ledger)
+        self._probed.set()
+        return answer
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 class TestServeConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -150,6 +168,46 @@ class TestAdmission:
         assert not served.degraded
         assert served.result is not None
         assert served.total_seconds > 0
+
+        # A batch of three distinct same-slot requests, and a request on
+        # a non-default backend, take the same path and answer exactly
+        # what a direct answer_query on the same inputs answers.
+        system = serve_world["system"]
+        system.attach_backend("per", history=serve_world["data"].train_history)
+        seeds = (12, 13, 14, 15)
+        requests = [make_request(serve_world, seed=seed) for seed in seeds[:3]]
+        requests.append(make_request(serve_world, seed=seeds[3], backend="per"))
+        service = QueryService(
+            system, config=ServeConfig(num_workers=1), autostart=False
+        )
+        tickets = [service.submit(r) for r in requests[:3]]
+        service.start()
+        served_all = [ticket.result(timeout=60) for ticket in tickets]
+        served_all.append(service.serve(requests[3], timeout=60))
+        service.close()
+        for seed, request, served in zip(seeds, requests, served_all):
+            direct = system.answer_query(
+                EstimationRequest(
+                    queried=request.queried,
+                    slot=request.slot,
+                    budget=request.budget,
+                    rng=np.random.default_rng(seed),
+                    backend=request.backend,
+                    warm_start=False,
+                ),
+                market=make_market(serve_world["data"], seed),
+                truth=request.truth,
+            )
+            assert served.result.backend == direct.backend == request.backend
+            np.testing.assert_array_equal(
+                served.full_field_kmh, direct.full_field_kmh
+            )
+            np.testing.assert_array_equal(
+                served.estimates_kmh, direct.estimates_kmh
+            )
+            assert served.result.probes == direct.probes
+            assert served.result.budget_spent == direct.budget_spent
+            assert served.model_version == direct.model_version
 
     def test_queue_depth_visible_before_start(self, serve_world):
         service = QueryService(serve_world["system"], autostart=False)
@@ -385,7 +443,7 @@ class TestExceptionBoundary:
             raise TypeError("stray internal bug")
 
         monkeypatch.setattr(
-            serve_world["system"], "answer_query", explode, raising=True
+            serve_world["system"], "_select_and_probe", explode, raising=True
         )
         with QueryService(serve_world["system"]) as service:
             ticket = service.submit(make_request(serve_world))
@@ -400,6 +458,70 @@ class TestExceptionBoundary:
             ticket = service.submit(request)
             with pytest.raises(errors.SelectionError, match="no-such-selector"):
                 ticket.result(timeout=60)
+
+    @pytest.mark.parametrize("n_distinct", [1, 3])
+    def test_gsp_failure_reports_gsp_stage(self, serve_world, monkeypatch, n_distinct):
+        """A stray error inside propagation is an InternalError at stage
+        "gsp" whatever the batch shape."""
+        def explode(*args, **kwargs):
+            raise ValueError("stray propagation bug")
+
+        monkeypatch.setattr(serve_world["system"].gsp_engine, "propagate", explode)
+        service = QueryService(
+            serve_world["system"], config=ServeConfig(num_workers=1),
+            autostart=False,
+        )
+        tickets = [
+            service.submit(make_request(serve_world, seed=60 + k))
+            for k in range(n_distinct)
+        ]
+        service.start()
+        for ticket in tickets:
+            with pytest.raises(errors.InternalError) as excinfo:
+                ticket.result(timeout=60)
+            assert excinfo.value.stage == "gsp"
+            assert isinstance(excinfo.value.original, ValueError)
+        service.close()
+
+
+class TestProbeLock:
+    def test_gsp_runs_outside_the_probe_lock(self, serve_world, monkeypatch):
+        """While request A propagates, another worker can probe request B."""
+        system = serve_world["system"]
+        slot_a, slot_b = serve_world["slots"][:2]
+        a_probed = threading.Event()
+        b_probed = threading.Event()
+        overlapped = []
+        propagate = system.gsp_engine.propagate
+
+        def waiting_propagate(*args, **kwargs):
+            if not b_probed.is_set():
+                overlapped.append(b_probed.wait(3.0))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(system.gsp_engine, "propagate", waiting_propagate)
+        config = ServeConfig(num_workers=2, serialize_probes=True)
+        with QueryService(system, config=config) as service:
+            ticket_a = service.submit(
+                make_request(
+                    serve_world, slot=slot_a, seed=70,
+                    market=SignallingMarket(
+                        make_market(serve_world["data"], 70), a_probed
+                    ),
+                )
+            )
+            assert a_probed.wait(30.0)
+            ticket_b = service.submit(
+                make_request(
+                    serve_world, slot=slot_b, seed=71,
+                    market=SignallingMarket(
+                        make_market(serve_world["data"], 71), b_probed
+                    ),
+                )
+            )
+            ticket_a.result(timeout=60)
+            ticket_b.result(timeout=60)
+        assert overlapped == [True]
 
 
 class TestServeMetrics:
@@ -428,14 +550,68 @@ class TestServeMetrics:
             assert counters[("serve.admitted", ())] == 3
             assert counters[("serve.completed", (("outcome", "ok"),))] == 3
             assert counters[("serve.coalesced", ())] == 2
-            names = {record.name for record in obs.get_tracer().records()}
+            records = obs.get_tracer().records()
+            names = {record.name for record in records}
             assert "serve.batch" in names
             assert "serve.request" in names
-            assert "pipeline.answer_query" in names
+            assert "pipeline.answer_query" not in names
+            assert {"ocs.select", "crowd.execute", "gsp.propagate"} <= names
+            expected_parent = {
+                "ocs.select": "serve.request",
+                "crowd.execute": "serve.request",
+                "serve.request": "serve.batch",
+                "gsp.propagate": "serve.batch",
+            }
+            by_id = {record.span_id: record for record in records}
+            for record in records:
+                if record.name in expected_parent:
+                    parent = by_id[record.parent_id]
+                    assert parent.name == expected_parent[record.name]
         finally:
             obs.disable_all()
             obs.get_metrics().clear()
             obs.get_tracer().reset()
+
+    @pytest.mark.parametrize("n_distinct", [1, 3])
+    def test_pipeline_metrics_count_every_executed_answer(
+        self, serve_world, n_distinct
+    ):
+        """pipeline.* counts each executed answer once, whatever the batch
+        shape; a coalesced duplicate adds nothing."""
+        from repro import obs
+
+        obs.configure(metrics=True)
+        obs.get_metrics().clear()
+        try:
+            service = QueryService(
+                serve_world["system"], config=ServeConfig(num_workers=1),
+                autostart=False,
+            )
+            requests = [
+                make_request(serve_world, seed=80 + k) for k in range(n_distinct)
+            ]
+            tickets = [service.submit(r) for r in requests + requests[:1]]
+            service.start()
+            served = [ticket.result(timeout=60) for ticket in tickets]
+            service.close()
+            snap = obs.get_metrics().snapshot()
+            counters = {
+                (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+                for e in snap["counters"]
+            }
+            assert counters[("serve.coalesced", ())] == 1
+            assert counters[("pipeline.queries", (("selector", "hybrid"),))] == n_distinct
+            assert counters[("pipeline.budget_spent", ())] == sum(
+                r.result.budget_spent for r in served[:n_distinct]
+            )
+            (latency,) = [
+                h for h in snap["histograms"]
+                if h["name"] == "pipeline.latency_seconds"
+            ]
+            assert latency["count"] == n_distinct
+        finally:
+            obs.disable_all()
+            obs.get_metrics().clear()
 
 
 class TestWorkload:
