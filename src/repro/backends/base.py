@@ -10,7 +10,12 @@ pipeline.  This module defines the neutral contract that lifts it off:
   values published copy-on-write through the
   :class:`~repro.core.store.ModelStore`, exactly like RTF slots);
 * ``estimate(state, probes, slot, deadline) -> BackendEstimate`` — turn
-  sparse probes into a full speed field plus provenance.
+  sparse probes into a full speed field plus provenance;
+* ``estimate_batch(queries, gsp_config) -> outcomes`` — the hook the
+  estimate stage calls once per backend per batch.  By default it
+  answers each query through ``estimate``; a backend that can share
+  work across a batch overrides it (the built-in ``rtf_gsp`` runs one
+  batched GSP propagation per precision).
 
 State blobs must be plain picklable values (dataclasses over numpy
 arrays and mappings) so snapshots can be serialized and shipped between
@@ -38,21 +43,24 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
-from repro.errors import BackendError
+from repro.errors import BackendError, ReproError, wrap_internal
 from repro.network.graph import TrafficNetwork
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 from repro.traffic.history import SpeedHistory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.pipeline import Deadline
+    from repro.core.gsp import GSPConfig
+    from repro.core.pipeline import Deadline, PreparedQuery
 
 #: Signature of the digest-keyed derivation hook a ModelStore binds into
 #: attached backends: ``(kind, digest, build) -> artifact``.
@@ -232,6 +240,46 @@ class EstimatorBackend(abc.ABC):
             speeds=field_kmh,
             provenance=dict(provenance),
         )
+
+    def estimate_batch(
+        self,
+        queries: Sequence["PreparedQuery"],
+        gsp_config: Optional["GSPConfig"] = None,
+    ) -> List[Union[BackendEstimate, ReproError]]:
+        """Estimate every probed query of one batch that names this backend.
+
+        The estimate stage (``CrowdRTSE._estimate``) makes one call per
+        backend per batch.  Each query carries its pinned snapshot (the
+        state blob is ``snapshot.backend_state(request.backend)``), its
+        probes, slot and deadline.  The default answers the queries one
+        by one through :meth:`estimate`, with stray internal exceptions
+        as ``InternalError("backend")``; backends that can share work
+        across a batch override it.
+
+        Args:
+            queries: Probed queries, each a ``PreparedQuery``.
+            gsp_config: The caller's propagation knobs, for GSP-based
+                backends; others ignore it.
+
+        Returns:
+            One outcome per query, in input order: its
+            :class:`BackendEstimate`, or the :class:`ReproError` that
+            failed it.
+        """
+        outcomes: List[Union[BackendEstimate, ReproError]] = []
+        for query in queries:
+            request = query.request
+            try:
+                state = query.snapshot.backend_state(request.backend)
+                with wrap_internal("backend"):
+                    outcomes.append(
+                        self.estimate(
+                            state, query.probes, request.slot, query.deadline
+                        )
+                    )
+            except ReproError as exc:
+                outcomes.append(exc)
+        return outcomes
 
     # -- hooks for concrete backends -----------------------------------
 

@@ -1,40 +1,42 @@
-"""The paper's RTF+GSP estimator as a pluggable backend.
+"""The paper's RTF+GSP estimator, built into every model store.
 
-Thin adapter over the pieces :class:`~repro.core.pipeline.CrowdRTSE`
-already uses: :func:`~repro.core.inference.fit_rtf` for the offline
-stage, :func:`~repro.core.online_update.refresh_slots` for the daily
-refresh, and a private :class:`~repro.core.gsp.GSPEngine` for the
-online propagation.  The state blob is simply the per-slot
-:class:`~repro.core.rtf.RTFSlot` parameters — the same objects a
-:class:`~repro.core.store.ModelSnapshot` versions natively — so
-attaching this backend duplicates no model weight.
+Every :class:`~repro.core.store.ModelStore` owns one
+:class:`RTFGSPBackend` under the name ``rtf_gsp``: default requests and
+shadow challengers reach the paper's estimator through the same
+:class:`~repro.backends.base.EstimatorBackend` protocol as every other
+backend.  Its state is no copy: each snapshot's ``rtf_gsp`` state is a
+read-only view over that snapshot's own :class:`~repro.core.rtf.RTFSlot`
+objects (:meth:`RTFGSPBackend.snapshot_state`), so it refreshes with
+the slots in :meth:`ModelStore.refresh` and cannot be attached.
 
-The serving default path does **not** go through this adapter:
-``backend="rtf_gsp"`` requests take the original pinned-snapshot
-pipeline (bit-identical to pre-backend builds).  The adapter exists so
-the protocol covers the reference estimator too — differential tests
-pin the two paths against each other, and shadow mode can score any
-challenger against rtf_gsp through one interface.
+The backend's :class:`~repro.core.gsp.GSPEngine` is the system's one
+propagation engine (``CrowdRTSE.gsp_engine``).  The batch hook
+(:meth:`RTFGSPBackend.estimate_batch`) runs one
+:meth:`GSPEngine.propagate_batch` per request precision and seeds each
+propagation from the snapshot's warm-start fields; the per-request
+:meth:`~EstimatorBackend.estimate` template (shadow scoring, direct
+calls) propagates cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends.base import EstimatorBackend
-from repro.core.gsp import GSPConfig, GSPEngine
+from repro.backends.base import BackendEstimate, EstimatorBackend
+from repro.core.gsp import GSPConfig, GSPEngine, PrecisionPolicy
 from repro.core.inference import fit_rtf
 from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFSlot
-from repro.errors import BackendError, NotFittedError
+from repro.errors import BackendError, NotFittedError, ReproError, wrap_internal
 from repro.network.graph import TrafficNetwork
+from repro.obs import get_metrics
 from repro.traffic.history import SpeedHistory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import Deadline
+    from repro.core.pipeline import Deadline, PreparedQuery
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,64 @@ class RTFGSPState:
     """Fitted RTF parameters per global slot (the backend state blob)."""
 
     params: Mapping[int, RTFSlot]
+
+
+class _SlotView(Mapping[int, RTFSlot]):
+    """Read-only, picklable slot → parameters view over a snapshot's map."""
+
+    __slots__ = ("_slots",)
+
+    def __init__(self, slots: Mapping[int, RTFSlot]) -> None:
+        self._slots = slots
+
+    def __getitem__(self, slot: int) -> RTFSlot:
+        return self._slots[slot]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+
+def resolve_gsp_config(
+    gsp_config: Optional[GSPConfig], precision: str
+) -> Optional[GSPConfig]:
+    """The effective propagation config under a request's precision.
+
+    ``float64`` leaves ``gsp_config`` untouched (including ``None``
+    → engine default), so the reference path stays bit-identical;
+    any other policy is applied via
+    :meth:`~repro.core.gsp.GSPConfig.with_precision`.
+    """
+    policy = PrecisionPolicy.coerce(precision)
+    if policy is PrecisionPolicy.FLOAT64:
+        return gsp_config
+    base = gsp_config if gsp_config is not None else GSPConfig()
+    return base.with_precision(policy)
+
+
+def _warm_seed(
+    prepared: "PreparedQuery", observed_key: frozenset
+) -> Optional[np.ndarray]:
+    """Fetch a query's warm-start seed and publish the outcome counter.
+
+    Outcomes mirror the ``gsp.warm_start`` metric: ``used`` (seed
+    found for this exact digest + R^c), ``miss`` (nothing cached),
+    ``mismatch`` (cached under a different R^c), ``disabled``
+    (request opted out).
+    """
+    request = prepared.request
+    if request.warm_start:
+        seed, outcome = prepared.snapshot.warm_field(request.slot, observed_key)
+        if outcome == "hit":
+            outcome = "used"
+    else:
+        seed, outcome = None, "disabled"
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.counter("gsp.warm_start", {"outcome": outcome}).inc()
+    return seed
 
 
 class RTFGSPBackend(EstimatorBackend):
@@ -55,11 +115,20 @@ class RTFGSPBackend(EstimatorBackend):
         gsp_config: Optional[GSPConfig] = None,
     ) -> None:
         super().__init__(network)
-        # Own engine: cached CSR structures and schedules are keyed by
-        # parameter digest, so repeated estimates stay warm across
-        # refreshes exactly like the native pipeline engine.
+        # Cached CSR structures and schedules are keyed by parameter
+        # digest, so a refresh recompiles exactly the touched slots.
         self._engine = GSPEngine(network)
         self._gsp_config = gsp_config
+
+    @property
+    def engine(self) -> GSPEngine:
+        """The propagation engine (exposes cache stats for diagnostics)."""
+        return self._engine
+
+    @staticmethod
+    def snapshot_state(params: Mapping[int, RTFSlot]) -> RTFGSPState:
+        """The state over a snapshot's own slot parameters (a view, no copy)."""
+        return RTFGSPState(_SlotView(params))
 
     def _fit(self, history: SpeedHistory, slots: Sequence[int]) -> RTFGSPState:
         model, _diagnostics = fit_rtf(self._network, history, slots)
@@ -89,6 +158,77 @@ class RTFGSPBackend(EstimatorBackend):
         slot: int,
         deadline: Optional["Deadline"],
     ) -> Tuple[np.ndarray, Mapping[str, object]]:
+        params = self._params_of(state, slot)
+        result = self._engine.propagate(params, probes, self._gsp_config)
+        return result.speeds, {
+            "sweeps": result.sweeps,
+            "converged": result.converged,
+        }
+
+    def estimate_batch(
+        self,
+        queries: Sequence["PreparedQuery"],
+        gsp_config: Optional[GSPConfig] = None,
+    ) -> List[Union[BackendEstimate, ReproError]]:
+        """One :meth:`GSPEngine.propagate_batch` per request precision.
+
+        The kernel dtype is a config-level property, so the queries are
+        grouped by ``request.precision``.  Each group fetches every
+        warm-start seed before it stores any, so the queries of one
+        batch seed from earlier answers, never from each other.  The
+        provenance of each estimate carries its ``GSPResult`` under
+        ``"gsp"``.  A propagation failure fails its whole precision
+        group (stray internal exceptions arrive as
+        ``InternalError("gsp")``).
+        """
+        config = gsp_config if gsp_config is not None else self._gsp_config
+        outcomes: Dict[int, Union[BackendEstimate, ReproError]] = {}
+        params: Dict[int, RTFSlot] = {}
+        groups: Dict[str, List[int]] = {}
+        for k, query in enumerate(queries):
+            request = query.request
+            try:
+                if query.deadline is not None:
+                    query.deadline.check("gsp")
+                state = query.snapshot.backend_state(request.backend)
+                params[k] = self._params_of(state, request.slot)
+            except ReproError as exc:
+                outcomes[k] = exc
+                continue
+            groups.setdefault(request.precision, []).append(k)
+        for precision, members in groups.items():
+            group = [queries[k] for k in members]
+            keys = [frozenset(query.probes) for query in group]
+            seeds = [_warm_seed(query, key) for query, key in zip(group, keys)]
+            items = [(params[k], queries[k].probes) for k in members]
+            try:
+                with wrap_internal("gsp"):
+                    results = self._engine.propagate_batch(
+                        items,
+                        resolve_gsp_config(config, precision),
+                        initial_fields=seeds,
+                    )
+            except ReproError as exc:
+                for k in members:
+                    outcomes[k] = exc
+                continue
+            for k, query, key, gsp_result in zip(members, group, keys, results):
+                slot = query.request.slot
+                if query.request.warm_start and gsp_result.converged:
+                    query.snapshot.store_warm_field(slot, key, gsp_result.speeds)
+                outcomes[k] = BackendEstimate(
+                    backend=self.name,
+                    slot=slot,
+                    speeds=gsp_result.speeds,
+                    provenance={
+                        "sweeps": gsp_result.sweeps,
+                        "converged": gsp_result.converged,
+                        "gsp": gsp_result,
+                    },
+                )
+        return [outcomes[k] for k in range(len(queries))]
+
+    def _params_of(self, state: object, slot: int) -> RTFSlot:
         rtf_state = self._state_of(state)
         params = rtf_state.params.get(slot)
         if params is None:
@@ -96,11 +236,7 @@ class RTFGSPBackend(EstimatorBackend):
                 f"backend {self.name!r}: slot {slot} not fitted "
                 f"(available: {sorted(rtf_state.params)})"
             )
-        result = self._engine.propagate(params, probes, self._gsp_config)
-        return result.speeds, {
-            "sweeps": result.sweeps,
-            "converged": result.converged,
-        }
+        return params
 
     def _state_of(self, state: object) -> RTFGSPState:
         if not isinstance(state, RTFGSPState):

@@ -435,11 +435,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-    # Non-default backends (the --backend override, the shadow
-    # challenger, and anything the trace lines name) are fitted on the
-    # same training history and attached before serving starts.
+    # Backends the store does not already serve (the --backend
+    # override, the shadow challenger, and anything the trace lines
+    # name; rtf_gsp is built in) are fitted on the same training
+    # history and attached before serving starts.
     backends = {args.backend, args.shadow} | {item.backend for item in items}
-    for name in sorted(backends - {None, "rtf_gsp"}):
+    for name in sorted(backends - {None, *system.store.attached_backends}):
         system.attach_backend(name, history=data.train_history)
         print(f"attached backend {name!r} (store v{system.store.version})")
 

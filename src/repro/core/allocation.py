@@ -67,7 +67,7 @@ def allocate_budget(
         BudgetError: When the floor alone exceeds the total budget, or
             inputs are invalid.
     """
-    if total_budget <= 0:
+    if not total_budget > 0:  # NaN fails too
         raise BudgetError("total_budget must be positive")
     if floor < 0:
         raise BudgetError("floor must be >= 0")

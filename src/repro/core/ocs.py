@@ -80,7 +80,7 @@ class OCSInstance:
             )
         if np.any(costs <= 0):
             raise BudgetError("all candidate costs must be strictly positive")
-        if self.budget <= 0:
+        if not self.budget > 0:  # NaN fails too
             raise BudgetError(f"budget must be positive, got {self.budget}")
         if not 0.0 < self.theta <= 1.0:
             raise SelectionError(f"theta must be in (0, 1], got {self.theta}")

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ModelError, QueryTimeoutError, ReproError, SelectionError, wrap_internal
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 from repro.core.correlation import CorrelationTable, PathWeightMode
-from repro.core.gsp import GSPConfig, GSPEngine, GSPResult, PrecisionPolicy
+from repro.core.gsp import GSPConfig, GSPEngine, GSPResult
 from repro.core.request import EstimationRequest
 from repro.core.inference import InferenceDiagnostics, RTFInferenceConfig, fit_rtf
 from repro.core.ocs import (
@@ -195,11 +195,6 @@ class CrowdRTSE:
             self._adopt_table(network, correlations)
         self._network = network
         self._fit_diagnostics: Optional[Dict[int, InferenceDiagnostics]] = None
-        # One engine per system: repeated queries share the cached CSR
-        # structures and BFS/colouring compilations across slots.  The
-        # structure cache is keyed by parameter digest, so a refresh
-        # invalidates exactly the touched slots' compilations.
-        self._gsp_engine = GSPEngine(network)
 
     def _adopt_table(
         self,
@@ -288,8 +283,14 @@ class CrowdRTSE:
 
     @property
     def gsp_engine(self) -> GSPEngine:
-        """The propagation engine (exposes cache stats for diagnostics)."""
-        return self._gsp_engine
+        """The propagation engine (exposes cache stats for diagnostics).
+
+        The store's built-in ``rtf_gsp`` backend owns it, so every query
+        shares its digest-keyed CSR structures and compilations.
+        """
+        from repro.backends.registry import DEFAULT_BACKEND
+
+        return self._store.backend_instance(DEFAULT_BACKEND).engine  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -335,7 +336,9 @@ class CrowdRTSE:
         After attaching, :meth:`answer_query` accepts requests with
         ``backend=name``, :meth:`refresh` advances the backend's state
         blob alongside the RTF slots, and the serving layer can select
-        (or shadow-score) the backend per request.
+        (or shadow-score) the backend per request.  The built-in
+        ``rtf_gsp`` is served without an attach and cannot be attached
+        (:class:`~repro.errors.BackendError`).
 
         Args:
             name: Registry name (see
@@ -373,15 +376,15 @@ class CrowdRTSE:
         snapshot: Optional[ModelSnapshot] = None,
         deadline: Optional[Deadline] = None,
     ) -> "BackendEstimate":
-        """Run one attached backend's estimator on already-gathered probes.
+        """Run one backend's per-request estimator on gathered probes.
 
-        The estimate stage (:meth:`_estimate`) calls it for every query
-        whose request names a non-default backend; the serving layer's
-        shadow mode calls it directly to re-score an answered query's
-        probes.
+        Any served backend qualifies: the built-in ``rtf_gsp`` (a cold
+        GSP start on the snapshot's own slots) or an attached one.  The
+        serving layer's shadow mode calls it to re-score an answered
+        query's probes.
 
         Args:
-            name: Attached backend name.
+            name: Backend name (built in or attached).
             probes: Probed speeds keyed by road index.
             slot: Global time slot.
             snapshot: Pinned model version (defaults to current).
@@ -503,12 +506,16 @@ class CrowdRTSE:
 
     @staticmethod
     def _assemble_result(
-        prepared: PreparedQuery,
-        field_kmh: np.ndarray,
-        gsp_result: Optional[GSPResult],
+        prepared: PreparedQuery, estimate: "BackendEstimate"
     ) -> QueryResult:
-        """Slice an estimated field into the final :class:`QueryResult`."""
+        """Slice an estimated field into the final :class:`QueryResult`.
+
+        ``gsp`` is the :class:`GSPResult` a GSP backend reports under
+        the ``"gsp"`` provenance key, else ``None``.
+        """
         request = prepared.request
+        field_kmh = estimate.speeds
+        gsp_result = estimate.provenance.get("gsp")
         return QueryResult(
             queried=request.queried,
             estimates_kmh=field_kmh[np.asarray(request.queried, dtype=int)],
@@ -516,7 +523,7 @@ class CrowdRTSE:
             selection=prepared.selection,
             probes=prepared.probes,
             receipts=prepared.receipts,
-            gsp=gsp_result,
+            gsp=gsp_result if isinstance(gsp_result, GSPResult) else None,
             budget_spent=prepared.ledger.spent,
             model_version=prepared.snapshot.version,
             backend=request.backend,
@@ -620,64 +627,35 @@ class CrowdRTSE:
 
         Every answer ends here: :meth:`answer_query` passes its one
         query, the serving layer every distinct request of a worker
-        batch.  Default ``rtf_gsp`` queries run as one
-        :meth:`GSPEngine.propagate_batch` call per precision (the kernel
-        dtype is a config-level property).  Each group fetches every
-        warm-start seed before it stores any, so the queries of one
-        batch seed from earlier answers, never from each other.  Other
-        backends answer through :meth:`estimate_with_backend`.
+        batch.  The queries are grouped by ``request.backend`` and each
+        group goes to its backend's
+        :meth:`~repro.backends.base.EstimatorBackend.estimate_batch`
+        hook in one call (for the built-in ``rtf_gsp``: one
+        :meth:`GSPEngine.propagate_batch` per precision, warm-seeded).
 
         Returns:
             One outcome per query, in input order: its
             :class:`QueryResult`, or the :class:`ReproError` that failed
-            it.  A GSP failure fails its whole precision group (stray
-            internal exceptions arrive as ``InternalError("gsp")``).
+            it (an unknown backend fails its whole group).
         """
-        outcomes: Dict[int, Union[QueryResult, ReproError]] = {}
         groups: Dict[str, List[int]] = {}
         for k, query in enumerate(prepared):
-            request = query.request
+            groups.setdefault(query.request.backend, []).append(k)
+        outcomes: Dict[int, Union[QueryResult, ReproError]] = {}
+        for name, members in groups.items():
             try:
-                if request.backend == "rtf_gsp":
-                    if query.deadline is not None:
-                        query.deadline.check("gsp")
-                    groups.setdefault(request.precision, []).append(k)
-                    continue
-                estimate = self.estimate_with_backend(
-                    request.backend, query.probes, request.slot,
-                    snapshot=query.snapshot, deadline=query.deadline,
-                )
-                outcomes[k] = self._assemble_result(query, estimate.speeds, None)
-            except ReproError as exc:
-                outcomes[k] = exc
-        for precision, members in groups.items():
-            group = [prepared[k] for k in members]
-            keys = [frozenset(query.probes) for query in group]
-            seeds = [
-                self._warm_seed(query, key) for query, key in zip(group, keys)
-            ]
-            items = [
-                (query.snapshot.slot(query.request.slot), query.probes)
-                for query in group
-            ]
-            try:
-                with wrap_internal("gsp"):
-                    results = self._gsp_engine.propagate_batch(
-                        items,
-                        self.resolve_gsp_config(gsp_config, precision),
-                        initial_fields=seeds,
+                backend = self._store.backend_instance(name)
+                estimate_batch = getattr(backend, "estimate_batch")
+                with wrap_internal("backend"):
+                    estimates = estimate_batch(
+                        [prepared[k] for k in members], gsp_config
                     )
             except ReproError as exc:
-                for k in members:
-                    outcomes[k] = exc
-                continue
-            for k, query, key, gsp_result in zip(members, group, keys, results):
-                if query.request.warm_start and gsp_result.converged:
-                    query.snapshot.store_warm_field(
-                        query.request.slot, key, gsp_result.speeds
-                    )
-                outcomes[k] = self._assemble_result(
-                    query, gsp_result.speeds, gsp_result
+                estimates = [exc] * len(members)
+            for k, estimate in zip(members, estimates):
+                outcomes[k] = (
+                    estimate if isinstance(estimate, ReproError)
+                    else self._assemble_result(prepared[k], estimate)
                 )
         finished_s = time.perf_counter()
         for k, query in enumerate(prepared):
@@ -691,39 +669,12 @@ class CrowdRTSE:
     ) -> Optional[GSPConfig]:
         """The effective propagation config under a request's precision.
 
-        ``float64`` leaves ``gsp_config`` untouched (including ``None``
-        → engine default), so the reference path stays bit-identical;
-        any other policy is applied via
-        :meth:`~repro.core.gsp.GSPConfig.with_precision`.
+        See :func:`repro.backends.rtf_gsp.resolve_gsp_config`, which the
+        built-in ``rtf_gsp`` backend applies per precision group.
         """
-        policy = PrecisionPolicy.coerce(precision)
-        if policy is PrecisionPolicy.FLOAT64:
-            return gsp_config
-        base = gsp_config if gsp_config is not None else GSPConfig()
-        return base.with_precision(policy)
+        from repro.backends.rtf_gsp import resolve_gsp_config
 
-    @staticmethod
-    def _warm_seed(
-        prepared: PreparedQuery, observed_key: frozenset
-    ) -> Optional[np.ndarray]:
-        """Fetch a query's warm-start seed and publish the outcome counter.
-
-        Outcomes mirror the ``gsp.warm_start`` metric: ``used`` (seed
-        found for this exact digest + R^c), ``miss`` (nothing cached),
-        ``mismatch`` (cached under a different R^c), ``disabled``
-        (request opted out).
-        """
-        request = prepared.request
-        if request.warm_start:
-            seed, outcome = prepared.snapshot.warm_field(request.slot, observed_key)
-            if outcome == "hit":
-                outcome = "used"
-        else:
-            seed, outcome = None, "disabled"
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("gsp.warm_start", {"outcome": outcome}).inc()
-        return seed
+        return resolve_gsp_config(gsp_config, precision)
 
     @staticmethod
     def _record_query_metrics(prepared: PreparedQuery, finished_s: float) -> None:

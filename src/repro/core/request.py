@@ -91,7 +91,7 @@ class EstimationRequest:
         )
         object.__setattr__(self, "slot", int(self.slot))
         object.__setattr__(self, "budget", float(self.budget))
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:  # NaN too
             raise ModelError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )

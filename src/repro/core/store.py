@@ -32,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFModel, RTFSlot, params_signature
 from repro.network.graph import TrafficNetwork
 from repro.obs import get_metrics, get_tracer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.backends.rtf_gsp import RTFGSPBackend
 
 #: Artifact kinds the cache tracks (label values of ``store.artifacts.*``).
 _KIND_CORRELATION = "correlation"
@@ -332,11 +335,15 @@ class ModelSnapshot:
 
     @property
     def backend_names(self) -> Tuple[str, ...]:
-        """Names of the estimator backends with state in this version."""
+        """Names of the estimator backends with state in this version.
+
+        Always includes the built-in ``rtf_gsp``, whose state is a view
+        over this version's own slot parameters.
+        """
         return tuple(sorted(self._backend_states))
 
     def backend_state(self, name: str) -> object:
-        """The immutable state blob of one attached backend.
+        """The immutable state blob of one backend in this version.
 
         Raises:
             BackendError: When no state for ``name`` was ever attached
@@ -472,12 +479,18 @@ class ModelStore:
         self._network = model.network
         self._path_mode = path_mode
         self._artifacts = _ArtifactCache(self.stats, max_artifacts)
-        # Attached estimator backends (duck-typed: anything exposing
-        # refresh(state, day_samples, learning_rate) and
-        # estimate(state, probes, slot, deadline)); their *state* lives
-        # in the snapshots, the instances here are the stateless math
-        # that advances it on refresh.
-        self._backends: Dict[str, object] = {}
+        # The paper's estimator is built in: its state in each snapshot
+        # is a view over that snapshot's own slots, so it refreshes with
+        # them.  Imported here because repro.backends imports this module.
+        from repro.backends.rtf_gsp import RTFGSPBackend
+
+        self._native: "RTFGSPBackend" = RTFGSPBackend(self._network)
+        # Every served backend by name: the built-in one plus the
+        # attached ones (duck-typed: anything exposing refresh /
+        # estimate / estimate_batch).  Their *state* lives in the
+        # snapshots; the instances here are the stateless math that
+        # estimates from it and advances it on refresh.
+        self._backends: Dict[str, object] = {self._native.name: self._native}
         self._lock = threading.RLock()
         self._created_monotonic = time.monotonic()
         params = {t: model.slot(t) for t in model.slots}
@@ -486,7 +499,8 @@ class ModelStore:
             t: given.get(t) or params_signature(p) for t, p in params.items()
         }
         self._current = ModelSnapshot(
-            1, self._network, params, digest_map, path_mode, self._artifacts
+            1, self._network, params, digest_map, path_mode, self._artifacts,
+            backend_states={self._native.name: self._native.snapshot_state(params)},
         )
         self._count_publish(len(params))
 
@@ -599,7 +613,8 @@ class ModelStore:
 
         ``backend_states=None`` carries the previous version's blobs
         forward unchanged (plain slot publish); a mapping replaces them
-        atomically with the slot swap (refresh / attach).
+        atomically with the slot swap (refresh / attach).  Either way the
+        built-in backend's state becomes a view over the new slots.
         """
         seen = set()
         for slot_params in replacements:
@@ -622,11 +637,12 @@ class ModelStore:
                     digests[slot_params.slot] = new_digest
                     if old_digest is not None and old_digest != new_digest:
                         stale_digests.append(old_digest)
-                states = (
+                states = dict(
                     previous._backend_states
                     if backend_states is None
                     else backend_states
                 )
+                states[self._native.name] = self._native.snapshot_state(params)
                 snapshot = ModelSnapshot(
                     previous.version + 1,
                     self._network,
@@ -683,6 +699,7 @@ class ModelStore:
             # states advance inside the same hold and publish with the
             # RTF slots in one version — a reader never sees RTF
             # parameters from day d next to a backend state from d-1.
+            # The built-in backend's state is the slots themselves.
             with self._lock:
                 snapshot = self.current()
                 for slot in day_samples:
@@ -690,15 +707,11 @@ class ModelStore:
                 refreshed = refresh_slots(
                     self._network, snapshot._params, day_samples, learning_rate
                 )
-                states: Optional[Dict[str, object]] = None
-                if self._backends:
-                    states = dict(snapshot._backend_states)
-                    for name, backend in self._backends.items():
-                        state = states.get(name)
-                        if state is None:
-                            continue
+                states = dict(snapshot._backend_states)
+                for name, backend in self._backends.items():
+                    if backend is not self._native:
                         states[name] = backend.refresh(  # type: ignore[attr-defined]
-                            state, day_samples, learning_rate
+                            states[name], day_samples, learning_rate
                         )
                 published = self._publish(refreshed, states)
                 self.stats.refreshes += 1
@@ -714,30 +727,41 @@ class ModelStore:
     def attach_backend(
         self, name: str, backend: object, state: object
     ) -> ModelSnapshot:
-        """Attach an estimator backend's fitted state to the store.
+        """Attach a challenger estimator backend's fitted state.
 
         Publishes a new version whose snapshot carries ``state`` under
         ``name``; every subsequent :meth:`refresh` advances the blob via
         ``backend.refresh(state, day_samples, learning_rate)`` and
         publishes it atomically with the RTF slots.  The backend object
         itself is stateless math — it is kept on the store (not the
-        snapshot) purely to drive refreshes and per-query estimates.
+        snapshot) purely to drive refreshes and estimates.
 
-        The store deliberately duck-types ``backend`` rather than
-        importing :mod:`repro.backends` (which depends on this module):
-        anything exposing ``refresh``/``estimate`` qualifies, and a
-        ``bind_artifacts`` hook, when present, is wired to the store's
-        digest-keyed artifact cache under ``backend.``-prefixed kinds.
+        The built-in ``rtf_gsp`` backend needs no attach: every store
+        serves it, with each snapshot's own slots as its state.
+
+        The store duck-types ``backend`` (the protocol lives in
+        :mod:`repro.backends`, which depends on this module): anything
+        exposing ``refresh``/``estimate``/``estimate_batch`` qualifies,
+        and a ``bind_artifacts`` hook, when present, is wired to the
+        store's digest-keyed artifact cache under ``backend.``-prefixed
+        kinds.
 
         Returns:
             The freshly published :class:`ModelSnapshot`.
 
         Raises:
-            BackendError: When ``backend`` lacks the protocol methods.
+            BackendError: When ``name`` is the built-in backend, or
+                ``backend`` lacks the protocol methods.
         """
         if not name or not isinstance(name, str):
             raise BackendError(f"invalid backend name {name!r}")
-        for attr in ("refresh", "estimate"):
+        if name == self._native.name:
+            raise BackendError(
+                f"backend {name!r} is built into every store: its state is "
+                f"each snapshot's own RTF slots, refreshed with them, so it "
+                f"cannot be attached"
+            )
+        for attr in ("refresh", "estimate", "estimate_batch"):
             if not callable(getattr(backend, attr, None)):
                 raise BackendError(
                     f"backend {name!r} does not implement {attr}(); "
@@ -755,7 +779,7 @@ class ModelStore:
                 return self._publish([], states)
 
     def backend_instance(self, name: str) -> object:
-        """The attached backend object registered under ``name``.
+        """The backend object serving ``name`` (built in or attached).
 
         Raises:
             BackendError: When ``name`` was never attached.
@@ -771,7 +795,7 @@ class ModelStore:
 
     @property
     def attached_backends(self) -> Tuple[str, ...]:
-        """Names of the attached estimator backends, sorted."""
+        """Names of the served backends (built-in ``rtf_gsp`` too), sorted."""
         with self._lock:
             return tuple(sorted(self._backends))
 

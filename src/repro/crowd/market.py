@@ -48,7 +48,7 @@ class BudgetLedger:
     """Tracks crowdsourcing payments against a budget ``K``."""
 
     def __init__(self, budget: float) -> None:
-        if budget <= 0:
+        if not budget > 0:  # NaN fails too
             raise BudgetError(f"budget must be positive, got {budget}")
         self._budget = float(budget)
         self._entries: List[Tuple[int, int]] = []

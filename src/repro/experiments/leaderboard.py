@@ -62,16 +62,8 @@ def run(
     system = CrowdRTSE.fit(data.network, data.train_history, slots=[data.slot])
     backends = available_backends()
     for name in backends:
-        if name != "rtf_gsp":
+        if name not in system.store.attached_backends:  # rtf_gsp is built in
             system.attach_backend(name, history=data.train_history)
-    # rtf_gsp reuses the already-fitted slot parameters instead of
-    # refitting: its backend state is exactly the pipeline's model.
-    from repro.backends.rtf_gsp import RTFGSPState
-
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={data.slot: system.model.slot(data.slot)}),
-    )
 
     budget = float(sorted(data.budgets)[len(data.budgets) // 2])
     queried = np.asarray(data.queried, dtype=int)

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.backends.registry import DEFAULT_BACKEND
 from repro.errors import DatasetError, ModelError, OverloadedError, ReproError
 from repro.core.request import EstimationRequest
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, bucket_quantile
@@ -81,7 +82,7 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
                     theta=float(record.get("theta", 0.92)),
                     selector=str(record.get("selector", "hybrid")),
                     deadline_s=deadline_s,
-                    backend=str(record.get("backend", "rtf_gsp")),
+                    backend=str(record.get("backend", DEFAULT_BACKEND)),
                     precision=str(record.get("precision", "float64")),
                     warm_start=bool(record.get("warm_start", True)),
                     day=int(record.get("day", 0)),
@@ -117,7 +118,7 @@ def save_workload(
         }
         if item.deadline_s is not None:
             record["deadline_s"] = item.deadline_s
-        if item.backend != "rtf_gsp":
+        if item.backend != DEFAULT_BACKEND:
             record["backend"] = item.backend
         if item.precision != "float64":
             record["precision"] = item.precision
@@ -214,14 +215,17 @@ class ReplayReport:
         (:func:`repro.obs.metrics.bucket_quantile` over
         ``DEFAULT_TIME_BUCKETS``) as the SLO engine and ``repro top``,
         so offline replay numbers and live ``/healthz`` numbers are
-        directly comparable.
+        directly comparable.  The bucket estimate is clamped to the
+        recorded [min, max], which interpolation inside a wide bucket
+        can overshoot.
         """
         if not self.latencies:
             return 0.0
         counts = [0.0] * (len(DEFAULT_TIME_BUCKETS) + 1)
         for latency in self.latencies:
             counts[bisect.bisect_left(DEFAULT_TIME_BUCKETS, latency)] += 1.0
-        return bucket_quantile(DEFAULT_TIME_BUCKETS, counts, q / 100.0)
+        estimate = bucket_quantile(DEFAULT_TIME_BUCKETS, counts, q / 100.0)
+        return min(max(estimate, min(self.latencies)), max(self.latencies))
 
     def format(self) -> str:
         """Human-readable summary block (printed by ``repro serve``)."""

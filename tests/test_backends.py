@@ -42,12 +42,6 @@ def world(tiny_dataset):
     for name in BUILTINS:
         if name != "rtf_gsp":
             system.attach_backend(name, history=data.train_history)
-    from repro.backends.rtf_gsp import RTFGSPState
-
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={data.slot: system.model.slot(data.slot)}),
-    )
     return {"data": data, "system": system}
 
 
@@ -142,6 +136,80 @@ class TestRTFGSPDifferential:
             world["system"].estimate_with_backend(
                 "rtf_gsp", {0: 40.0}, 999_999
             )
+
+
+class TestBuiltInRTFGSP:
+    """rtf_gsp is native to every store: no attach, no parameter copy."""
+
+    @pytest.fixture
+    def system(self, tiny_dataset):
+        data = tiny_dataset
+        return repro.CrowdRTSE.fit(
+            data.network, data.train_history, slots=[data.slot]
+        )
+
+    def test_served_without_attach(self, system):
+        snapshot = system.store.current()
+        assert "rtf_gsp" in snapshot.backend_names
+        assert "rtf_gsp" in system.store.attached_backends
+        assert isinstance(
+            system.store.backend_instance("rtf_gsp"), RTFGSPBackend
+        )
+
+    def test_state_is_the_snapshots_own_slots(self, system):
+        snapshot = system.store.current()
+        state = snapshot.backend_state("rtf_gsp")
+        assert set(state.params) == set(snapshot.slots)
+        for slot in snapshot.slots:
+            assert state.params[slot] is snapshot.slot(slot)
+
+    def test_attach_rejected(self, system, tiny_dataset):
+        params = system.model.slot(tiny_dataset.slot)
+        with pytest.raises(errors.BackendError, match="built into"):
+            system.attach_backend(
+                "rtf_gsp", state=repro.RTFGSPState(params={params.slot: params})
+            )
+        with pytest.raises(errors.BackendError, match="built into"):
+            system.attach_backend("rtf_gsp", history=tiny_dataset.train_history)
+
+    def test_matches_answer_after_publish(self, system, tiny_dataset):
+        """A published slot change reaches the backend: no stale copy."""
+        world = {"data": tiny_dataset, "system": system}
+        old = system.model.slot(tiny_dataset.slot)
+        system.store.publish(
+            [repro.RTFSlot(old.slot, old.mu * 1.1, old.sigma, old.rho)]
+        )
+        result = answer(world)
+        estimate = system.estimate_with_backend(
+            "rtf_gsp", result.probes, tiny_dataset.slot
+        )
+        np.testing.assert_allclose(
+            estimate.speeds, result.full_field_kmh, rtol=0, atol=1e-12
+        )
+
+    def test_refresh_advances_state_with_the_slots(
+        self, system, tiny_dataset, monkeypatch
+    ):
+        import repro.backends.rtf_gsp as rtf_gsp_module
+        import repro.core.store as store_module
+
+        calls = []
+
+        def counting(refresh):
+            def wrapped(*args, **kwargs):
+                calls.append(refresh)
+                return refresh(*args, **kwargs)
+            return wrapped
+
+        for module in (store_module, rtf_gsp_module):
+            monkeypatch.setattr(
+                module, "refresh_slots", counting(module.refresh_slots)
+            )
+        data = tiny_dataset
+        sample = data.test_history.slot_samples(data.slot)[0]
+        new = system.refresh({data.slot: sample}, learning_rate=0.25)
+        assert len(calls) == 1
+        assert new.backend_state("rtf_gsp").params[data.slot] is new.slot(data.slot)
 
 
 class TestOfflineShim:

@@ -28,7 +28,7 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.backends.registry import _NAME_RE
-from repro.backends.rtf_gsp import RTFGSPBackend, RTFGSPState
+from repro.backends.rtf_gsp import RTFGSPBackend
 from repro.errors import BackendError
 
 BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per", "rtf_gsp")
@@ -50,10 +50,6 @@ def world(tiny_dataset):
     for name in BUILTINS:
         if name != "rtf_gsp":
             system.attach_backend(name, history=data.train_history)
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={data.slot: system.model.slot(data.slot)}),
-    )
     old = system.store.current()
     day = data.test_history.slot_samples(data.slot)[0]
     system.refresh({data.slot: day}, learning_rate=0.2)

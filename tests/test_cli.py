@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -180,6 +181,16 @@ class TestServeCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "requests: 3" in out
+
+    def test_shadow_scores_the_built_in_backend(self, capsys):
+        code = main(["serve", *SERVE_COMMON, "--n-requests", "6",
+                     "--backend", "per", "--shadow", "rtf_gsp"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        match = re.search(r"shadow\[rtf_gsp\]: (\d+) scored, (\d+) errors", out)
+        assert match is not None, out
+        assert int(match.group(1)) > 0
+        assert int(match.group(2)) == 0
 
     def test_deadline_degrades_requests(self, capsys):
         code = main(["serve", *SERVE_COMMON, "--n-requests", "8",

@@ -80,6 +80,8 @@ class TestAllocateBudget:
     def test_invalid_budget(self, model):
         with pytest.raises(BudgetError):
             allocate_budget(model, [0], [1], total_budget=0)
+        with pytest.raises(BudgetError):
+            allocate_budget(model, [0], [1], total_budget=float("nan"))
 
     def test_end_to_end_with_fitted_model(self, tiny_dataset, tiny_system):
         """Allocation works straight off a fitted model (single slot)."""

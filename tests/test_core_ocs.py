@@ -63,6 +63,8 @@ class TestInstanceValidation:
     def test_nonpositive_budget(self):
         with pytest.raises(BudgetError):
             make_instance(budget=0)
+        with pytest.raises(BudgetError):
+            make_instance(budget=float("nan"))
 
     def test_theta_out_of_range(self):
         with pytest.raises(SelectionError):

@@ -37,6 +37,8 @@ class TestBudgetLedger:
     def test_invalid_budget(self):
         with pytest.raises(BudgetError):
             BudgetLedger(0)
+        with pytest.raises(BudgetError):
+            BudgetLedger(float("nan"))
 
     def test_invalid_amount(self):
         with pytest.raises(BudgetError):

@@ -37,7 +37,7 @@ class TestConstruction:
         assert isinstance(req.slot, int) and req.slot == 93
         assert isinstance(req.budget, float) and req.budget == 20.0
 
-    @pytest.mark.parametrize("deadline_s", [0, -0.5])
+    @pytest.mark.parametrize("deadline_s", [0, -0.5, float("nan")])
     def test_nonpositive_deadline_rejected(self, deadline_s):
         with pytest.raises(ModelError, match="deadline_s"):
             EstimationRequest(queried=(1,), slot=0, budget=5, deadline_s=deadline_s)

@@ -712,3 +712,12 @@ class TestWorkload:
         assert report.percentile(50) == 0.0
         assert report.throughput_qps == 0.0
         assert "requests: 0" in report.format()
+
+    def test_report_percentiles_stay_within_recorded_latencies(self):
+        # All three fall in one histogram bucket, whose interpolation
+        # alone would put p90/p99 well above the largest latency.
+        latencies = [0.0101, 0.0102, 0.0104]
+        report = ReplayReport(n_requests=3, n_ok=3, latencies=latencies)
+        for q in (0, 50, 90, 99, 100):
+            assert min(latencies) <= report.percentile(q) <= max(latencies)
+        assert report.percentile(99) == max(latencies)

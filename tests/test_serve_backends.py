@@ -13,7 +13,6 @@ import pytest
 
 import repro
 from repro import errors, obs
-from repro.backends.rtf_gsp import RTFGSPState
 from repro.serve import EstimationRequest, QueryService, ServeConfig, ShadowStats
 
 N_SERVE_SLOTS = 2
@@ -32,10 +31,6 @@ def serve_world(tiny_dataset):
     system = repro.CrowdRTSE.fit(data.network, data.train_history, slots=slots)
     for name in ATTACHED:
         system.attach_backend(name, history=data.train_history)
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={s: system.model.slot(s) for s in slots}),
-    )
     truths = {s: repro.truth_oracle_for(data.test_history, 0, s) for s in slots}
     return {"data": data, "system": system, "slots": slots, "truths": truths}
 
