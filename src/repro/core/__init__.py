@@ -17,9 +17,11 @@ from repro.core.inference import (
     infer_slot_parameters,
 )
 from repro.core.correlation import (
+    CorrelationRows,
     CorrelationTable,
     PathWeightMode,
     road_road_correlation_matrix,
+    road_road_correlation_rows,
 )
 from repro.core.ocs import (
     OCSInstance,
@@ -89,9 +91,11 @@ __all__ = [
     "empirical_slot_parameters",
     "fit_rtf",
     "infer_slot_parameters",
+    "CorrelationRows",
     "CorrelationTable",
     "PathWeightMode",
     "road_road_correlation_matrix",
+    "road_road_correlation_rows",
     "OCSInstance",
     "OCSResult",
     "brute_force_ocs",

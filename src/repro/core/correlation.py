@@ -17,12 +17,15 @@ reproduces the paper literally — the ablation bench quantifies the gap.
 
 The all-pairs table ``Γ_R`` is computed offline with multi-source
 Dijkstra (:func:`scipy.sparse.csgraph.dijkstra`) and cached per slot.
+Serving reads it through :class:`CorrelationRows`, which runs Dijkstra
+only from the sources a query reads (:func:`road_road_correlation_rows`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +65,123 @@ def _edge_graph(
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _path_graph(
+    network: TrafficNetwork, rho: np.ndarray, mode: PathWeightMode
+) -> Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]:
+    """Validated path-search graph of Eq. 8/9 for one slot's ``rho``.
+
+    Returns the sparse graph Dijkstra runs on and, in ``RECIPROCAL``
+    mode, the per-directed-edge ``log rho`` the predecessor walk sums.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.shape != (network.n_edges,):
+        raise ModelError(
+            f"rho must have shape ({network.n_edges},), got {rho.shape}"
+        )
+    if np.any((rho < 0) | (rho > 1)):
+        raise ModelError("rho entries must lie in [0, 1]")
+    usable = rho > _RHO_EPS
+    if mode is PathWeightMode.LOG:
+        # Shortest path on -log(rho) == max product of rho.  Zero-rho
+        # edges are dropped entirely (they kill any product).
+        safe = np.where(usable, rho, 1.0)
+        weights = -np.log(safe)
+        # scipy treats 0-weight entries as absent in sparse graphs, so
+        # nudge exact rho == 1 edges to a tiny positive weight.
+        weights = np.where(weights <= 0, 1e-15, weights)
+        return _edge_graph(network, weights, usable), None
+    if mode is PathWeightMode.RECIPROCAL:
+        weights = 1.0 / np.maximum(rho, _RHO_EPS)
+        log_rho_by_pair: Dict[Tuple[int, int], float] = {}
+        for e, (i, j) in enumerate(network.edges):
+            if usable[e]:
+                log_rho_by_pair[(i, j)] = float(np.log(rho[e]))
+                log_rho_by_pair[(j, i)] = float(np.log(rho[e]))
+        return _edge_graph(network, weights, usable), log_rho_by_pair
+    raise ModelError(f"unknown path-weight mode {mode!r}")  # pragma: no cover
+
+
+def _graph_rows(
+    graph: sp.csr_matrix,
+    log_rho_by_pair: Optional[Dict[Tuple[int, int], float]],
+    sources: np.ndarray,
+) -> np.ndarray:
+    """Γ_R rows sourced at ``sources`` from one batched Dijkstra."""
+    n = graph.shape[0]
+    if sources.size == 0:
+        return np.zeros((0, n))
+    if log_rho_by_pair is None:
+        dist = dijkstra(graph, directed=False, indices=sources)
+        corr = np.exp(-dist)
+        corr[np.isinf(dist)] = 0.0
+        corr[np.arange(sources.size), sources] = 1.0
+        return corr
+    dist, predecessors = dijkstra(
+        graph, directed=False, indices=sources, return_predecessors=True
+    )
+    corr = np.zeros((sources.size, n))
+    for row, source in enumerate(sources.tolist()):
+        preds = predecessors[row]
+        # Accumulate log-products by walking each node's predecessor
+        # chain once, memoized per source.
+        log_prod = np.full(n, np.nan)
+        log_prod[source] = 0.0
+        for target in range(n):
+            if not np.isnan(log_prod[target]) or np.isinf(dist[row, target]):
+                continue
+            chain: List[int] = []
+            node = target
+            while np.isnan(log_prod[node]):
+                chain.append(node)
+                node = int(preds[node])
+            acc = log_prod[node]
+            for node_up in reversed(chain):
+                acc += log_rho_by_pair[(int(preds[node_up]), node_up)]
+                log_prod[node_up] = acc
+        valid = ~np.isnan(log_prod)
+        corr[row, valid] = np.exp(log_prod[valid])
+    corr[np.arange(sources.size), sources] = 1.0
+    return corr
+
+
+def _source_array(sources: Sequence[int], n: int) -> np.ndarray:
+    idx = np.asarray(sources, dtype=np.intp).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"source roads must lie in [0, {n}), got {sources!r}")
+    return idx
+
+
+def road_road_correlation_rows(
+    network: TrafficNetwork,
+    rho: np.ndarray,
+    sources: Sequence[int],
+    mode: PathWeightMode = PathWeightMode.LOG,
+) -> np.ndarray:
+    """Rows of the road–road correlation Γ_R (Eq. 7–10) for some sources.
+
+    One batched Dijkstra from ``sources`` only; row ``k`` is
+    bit-identical to row ``sources[k]`` of
+    :func:`road_road_correlation_matrix`, which is this function over
+    every road.
+
+    Args:
+        network: Road graph.
+        rho: Per-edge correlations aligned with ``network.edges``.
+        sources: Source road indices (duplicates allowed).
+        mode: Path-weight transform; see :class:`PathWeightMode`.
+
+    Returns:
+        ``(len(sources), n)`` array; entry ``(k, j)`` is the maximal path
+        product of edge correlations from ``sources[k]`` to ``j`` (1.0 at
+        the source itself, 0.0 when no path of positive-correlation edges
+        exists).
+    """
+    graph, log_rho_by_pair = _path_graph(network, rho, mode)
+    return _graph_rows(
+        graph, log_rho_by_pair, _source_array(sources, network.n_roads)
+    )
+
+
 def road_road_correlation_matrix(
     network: TrafficNetwork,
     rho: np.ndarray,
@@ -79,67 +199,103 @@ def road_road_correlation_matrix(
         is the maximal path product of edge correlations (0.0 when no
         path of positive-correlation edges exists).
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (network.n_edges,):
-        raise ModelError(
-            f"rho must have shape ({network.n_edges},), got {rho.shape}"
-        )
-    if np.any((rho < 0) | (rho > 1)):
-        raise ModelError("rho entries must lie in [0, 1]")
-    n = network.n_roads
-    if n == 0:
-        return np.zeros((0, 0))
+    return road_road_correlation_rows(
+        network, rho, np.arange(network.n_roads), mode
+    )
 
-    usable = rho > _RHO_EPS
-    if mode is PathWeightMode.LOG:
-        # Shortest path on -log(rho) == max product of rho.  Zero-rho
-        # edges are dropped entirely (they kill any product).
-        safe = np.where(usable, rho, 1.0)
-        weights = -np.log(safe)
-        # scipy treats 0-weight entries as absent in sparse graphs, so
-        # nudge exact rho == 1 edges to a tiny positive weight.
-        weights = np.where(weights <= 0, 1e-15, weights)
-        graph = _edge_graph(network, weights, usable)
-        dist = dijkstra(graph, directed=False)
-        corr = np.exp(-dist)
-        corr[np.isinf(dist)] = 0.0
-        np.fill_diagonal(corr, 1.0)
-        return corr
 
-    if mode is PathWeightMode.RECIPROCAL:
-        weights = 1.0 / np.maximum(rho, _RHO_EPS)
-        graph = _edge_graph(network, weights, usable)
-        dist, predecessors = dijkstra(graph, directed=False, return_predecessors=True)
-        log_rho_by_pair: Dict[Tuple[int, int], float] = {}
-        for e, (i, j) in enumerate(network.edges):
-            if usable[e]:
-                log_rho_by_pair[(i, j)] = float(np.log(rho[e]))
-                log_rho_by_pair[(j, i)] = float(np.log(rho[e]))
-        corr = np.zeros((n, n))
-        for source in range(n):
-            preds = predecessors[source]
-            # Accumulate log-products by walking each node's predecessor
-            # chain once, memoized per source.
-            log_prod = np.full(n, np.nan)
-            log_prod[source] = 0.0
-            for target in range(n):
-                if not np.isnan(log_prod[target]) or np.isinf(dist[source, target]):
-                    continue
-                chain: List[int] = []
-                node = target
-                while np.isnan(log_prod[node]):
-                    chain.append(node)
-                    node = int(preds[node])
-                acc = log_prod[node]
-                for node_up in reversed(chain):
-                    acc += log_rho_by_pair[(int(preds[node_up]), node_up)]
-                    log_prod[node_up] = acc
-            valid = ~np.isnan(log_prod)
-            corr[source, valid] = np.exp(log_prod[valid])
-        np.fill_diagonal(corr, 1.0)
-        return corr
+class CorrelationRows:
+    """Γ_R of one slot, derived one source row at a time.
 
-    raise ModelError(f"unknown path-weight mode {mode!r}")  # pragma: no cover
+    OCS reads only rows sourced at ``R^q`` and at the roads it selects,
+    so this view runs Dijkstra from those sources alone instead of all
+    ``n``.  Rows are memoized per source under the view's lock; one
+    :meth:`rows` call derives all of its missing sources in one batched
+    Dijkstra.  When ``dense`` returns the slot's full matrix, rows are
+    read from it and nothing is derived.
+
+    Indexing answers the forms the OCS solvers use on a dense Γ_R —
+    ``[np.ix_(q, c)]``, ``[road, c]``, ``[q, road]``, ``[a, b]`` — with
+    the same values, dtype and (C-contiguous) layout.  Every entry comes
+    from the row sourced at its *first* index: ``d(a, b)`` and
+    ``d(b, a)`` sum their path in different orders, so symmetry is never
+    used.
+
+    Args:
+        network: Road graph.
+        rho: The slot's per-edge correlations.
+        mode: Path-weight transform.
+        dense: Returns the slot's dense Γ_R when one is at hand, else
+            ``None``; asked on every :meth:`rows` call.
+        on_derive: Called with the number of rows each derivation made.
+    """
+
+    def __init__(
+        self,
+        network: TrafficNetwork,
+        rho: np.ndarray,
+        mode: PathWeightMode = PathWeightMode.LOG,
+        dense: Optional[Callable[[], Optional[np.ndarray]]] = None,
+        on_derive: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        n = network.n_roads
+        self.shape: Tuple[int, int] = (n, n)
+        self._network = network
+        self._rho = rho
+        self._mode = mode
+        # Built on the first derivation: a view that only ever reads a
+        # cached dense matrix never pays for it.
+        self._graph: Optional[
+            Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]
+        ] = None
+        self._dense = dense
+        self._on_derive = on_derive
+        self._rows: Dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def rows(self, sources: Sequence[int]) -> np.ndarray:
+        """``(len(sources), n)`` C-contiguous rows, in the order given."""
+        idx = _source_array(sources, self.shape[0])
+        dense = self._dense_matrix()
+        if dense is not None:
+            return dense[idx]
+        if idx.size == 0:
+            return np.zeros((0, self.shape[1]))
+        return np.stack(self._memo_rows(idx.tolist()))
+
+    def _memo_rows(self, order: List[int]) -> List[np.ndarray]:
+        """The memoized rows of ``order``, deriving the missing ones."""
+        with self._lock:
+            missing = [s for s in dict.fromkeys(order) if s not in self._rows]
+            if missing:
+                if self._graph is None:
+                    self._graph = _path_graph(self._network, self._rho, self._mode)
+                derived = _graph_rows(*self._graph, np.array(missing, dtype=np.intp))
+                self._rows.update(zip(missing, derived))
+                if self._on_derive is not None:
+                    self._on_derive(len(missing))
+            return [self._rows[s] for s in order]
+
+    def _dense_matrix(self) -> Optional[np.ndarray]:
+        return self._dense() if self._dense is not None else None
+
+    def __getitem__(self, key):
+        dense = self._dense_matrix()
+        if dense is not None:
+            return dense[key]
+        first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        if isinstance(first, (int, np.integer)):
+            if not 0 <= first < self.shape[0]:
+                raise IndexError(f"source road {first} outside [0, {self.shape[0]})")
+            # A copy, so no caller can write into the memo.
+            return self._memo_rows([int(first)])[0][rest].copy()
+        src = np.asarray(first)
+        if src.dtype.kind not in "iu":
+            raise IndexError(
+                "CorrelationRows takes integer source roads as its first index"
+            )
+        sources, inverse = np.unique(src, return_inverse=True)
+        return self.rows(sources)[(inverse.reshape(src.shape),) + rest]
 
 
 class CorrelationTable:

@@ -30,12 +30,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import BudgetError, SelectionError
 from repro.obs import DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, get_metrics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.correlation import CorrelationRows
 
 #: Hard cap for :func:`brute_force_ocs`; beyond this the search space
 #: (2^n subsets) is unreasonable.
@@ -53,8 +56,11 @@ class OCSInstance:
             ``candidates``; strictly positive.
         budget: Total payment budget ``K``.
         theta: Redundancy threshold ``θ`` in ``(0, 1]``.
-        corr: All-pairs correlation matrix for the query slot
-            (``Γ_R`` row/col indexed by road).
+        corr: Correlations ``Γ_R`` of the query slot, row/col indexed by
+            road: the dense ``(n, n)`` matrix or a row-on-demand
+            :class:`~repro.core.correlation.CorrelationRows` view (the
+            solvers read it only through the index forms the view
+            answers).
         sigma: Periodicity intensities ``sigma_i^t`` per road.
     """
 
@@ -63,7 +69,7 @@ class OCSInstance:
     costs: np.ndarray
     budget: float
     theta: float
-    corr: np.ndarray
+    corr: Union[np.ndarray, "CorrelationRows"]
     sigma: np.ndarray
 
     def __post_init__(self) -> None:

@@ -18,7 +18,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.errors import ModelError, QueryTimeoutError, ReproError, SelectionError, wrap_internal
+from repro.errors import (
+    BackendError,
+    ModelError,
+    QueryTimeoutError,
+    ReproError,
+    SelectionError,
+    wrap_internal,
+)
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 from repro.core.correlation import CorrelationTable, PathWeightMode
 from repro.core.gsp import GSPConfig, GSPEngine, GSPResult
@@ -357,6 +364,9 @@ class CrowdRTSE:
         # adapters, so a module-level import here would be circular.
         from repro.backends.registry import create_backend
 
+        if name == self._store.builtin_backend:
+            # Checked before the fit below, which would be wasted work.
+            raise BackendError(f"backend {name!r} is built into every store")
         if backend is None:
             backend = create_backend(name, self._network)
         if state is None:
@@ -416,7 +426,10 @@ class CrowdRTSE:
         """Assemble the OCS problem for one query.
 
         Candidates are the roads that currently have workers; costs come
-        from the market's cost model; σ weights from the RTF slot.
+        from the market's cost model; σ weights from the RTF slot.  The
+        correlations are the slot's row-on-demand Γ_R view
+        (:meth:`~repro.core.store.ModelSnapshot.correlation_rows`), with
+        the ``R^q`` rows fetched up front in one batch.
 
         Args:
             snapshot: Pinned model version to read from (defaults to the
@@ -427,13 +440,16 @@ class CrowdRTSE:
         if not candidates:
             raise SelectionError("no roads currently have workers (R^w is empty)")
         params = snap.slot(slot)
+        queried = tuple(int(q) for q in queried)
+        corr = snap.correlation_rows(slot)
+        corr.rows(queried)
         return OCSInstance(
-            queried=tuple(int(q) for q in queried),
+            queried=queried,
             candidates=candidates,
             costs=market.cost_model.costs_of(candidates).astype(float),
             budget=float(budget),
             theta=theta,
-            corr=snap.correlation_matrix(slot),
+            corr=corr,
             sigma=params.sigma,
         )
 

@@ -13,9 +13,9 @@ plain :class:`~repro.core.rtf.RTFModel` + eager
   version whose untouched slots share the *same* parameter objects and
   derived artifacts as the previous version (``is``-shared, not copied),
   so version churn costs O(k), not O(S).
-* **Lazy, digest-keyed derivation** — correlation matrices Γ_R and
-  propagation arrays are derived per slot on first use and cached by the
-  content digest of the slot parameters
+* **Lazy, digest-keyed derivation** — correlation matrices Γ_R,
+  row-on-demand Γ_R views and propagation arrays are derived per slot on
+  first use and cached by the content digest of the slot parameters
   (:func:`~repro.core.rtf.params_signature`).  A 288-slot model no
   longer materializes 288 dense ``(n, n)`` matrices up front, and a
   refreshed slot's new digest can never collide with its stale artifact.
@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.errors import BackendError, ModelError, NotFittedError
 from repro.core.correlation import (
+    CorrelationRows,
     CorrelationTable,
     PathWeightMode,
     road_road_correlation_matrix,
@@ -52,12 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Artifact kinds the cache tracks (label values of ``store.artifacts.*``).
 _KIND_CORRELATION = "correlation"
+#: Row-on-demand Γ_R views (:class:`CorrelationRows`) — what OCS reads.
+_KIND_CORRELATION_ROWS = "correlation_rows"
 _KIND_PROPAGATION = "propagation"
 #: Warm-start GSP seed fields, keyed by slot-parameter digest.  Unlike
 #: the derived kinds these are *written back* after a propagation and
 #: explicitly dropped when a refresh replaces the slot (same atomic
 #: publish), so a stale seed can never outlive its parameters.
 _KIND_WARM_START = "warm_start"
+#: Kinds a publish drops for each digest it supersedes.
+_SUPERSEDED_KINDS = (_KIND_WARM_START, _KIND_CORRELATION, _KIND_CORRELATION_ROWS)
 
 
 @dataclass
@@ -78,6 +83,9 @@ class StoreStats:
     propagation_hits: int = 0
     backend_derivations: int = 0
     backend_hits: int = 0
+    #: Γ_R source rows derived by :class:`CorrelationRows` views (one
+    #: per source road, however many rows one Dijkstra batch held).
+    correlation_row_derivations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (for logs and tests)."""
@@ -92,6 +100,7 @@ class StoreStats:
             "propagation_hits": self.propagation_hits,
             "backend_derivations": self.backend_derivations,
             "backend_hits": self.backend_hits,
+            "correlation_row_derivations": self.correlation_row_derivations,
         }
 
 
@@ -99,7 +108,8 @@ class _ArtifactCache:
     """Digest-keyed LRU of derived artifacts, shared across snapshots.
 
     Keys are ``(kind, digest)``; values are whatever the deriving
-    callable produced (a dense Γ_R matrix, a propagation-array tuple).
+    callable produced (a dense Γ_R matrix, a :class:`CorrelationRows`
+    view, a propagation-array tuple).
     Because snapshots share one cache and untouched slots keep their
     digest across publishes, a refresh of ``k`` slots invalidates
     exactly ``k`` correlation entries — the rest keep hitting.
@@ -174,9 +184,20 @@ class _ArtifactCache:
         with self._lock:
             return self._entries.pop((kind, digest), None) is not None
 
+    def count_rows(self, rows: int) -> None:
+        """Tally Γ_R rows a :class:`CorrelationRows` view derived."""
+        with self._lock:
+            self._record_rows(rows)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("store.correlation_row_derivations").inc(rows)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def _record_rows(self, rows: int) -> None:
+        self._stats.correlation_row_derivations += rows
 
     def _record_lookup(self, metrics, kind: str, hit: bool) -> None:
         if kind == _KIND_CORRELATION:
@@ -189,6 +210,10 @@ class _ArtifactCache:
                 self._stats.propagation_hits += 1
             else:
                 self._stats.propagation_derivations += 1
+        elif kind == _KIND_CORRELATION_ROWS:
+            # Creating a view derives nothing; its rows are tallied by
+            # count_rows as they are derived.
+            pass
         else:
             # Backend-owned artifacts (kinds prefixed "backend."): the
             # pluggable estimators route their derived factorizations /
@@ -374,6 +399,29 @@ class ModelSnapshot:
             self.digest(slot),
             lambda: road_road_correlation_matrix(
                 self._network, params.rho, self._path_mode
+            ),
+        )
+
+    def correlation_rows(self, slot: int) -> CorrelationRows:
+        """Γ_R of one slot as a row-on-demand view (what OCS reads).
+
+        The view is cached per slot digest like :meth:`correlation_matrix`
+        and derives only the source rows it is asked for, each once.
+        While the dense matrix of the same digest is cached, rows are
+        read from it instead, so a warmed slot derives nothing.
+        """
+        params = self.slot(slot)
+        digest = self.digest(slot)
+        artifacts = self._artifacts
+        return artifacts.get_or_derive(
+            _KIND_CORRELATION_ROWS,
+            digest,
+            lambda: CorrelationRows(
+                self._network,
+                params.rho,
+                self._path_mode,
+                dense=lambda: artifacts.peek(_KIND_CORRELATION, digest),
+                on_derive=artifacts.count_rows,
             ),
         )
 
@@ -657,9 +705,13 @@ class ModelStore:
                 # is dropped before any reader can observe the new
                 # version.  A reader still pinned on the old snapshot at
                 # worst cold-starts (miss); a reader of the new version
-                # can never be seeded from pre-refresh parameters.
+                # can never be seeded from pre-refresh parameters.  The
+                # superseded Γ_R (dense and row view) goes too, so the
+                # LRU does not carry one per refresh; a reader pinned on
+                # the old version just re-derives what it reads.
                 for stale in stale_digests:
-                    self._artifacts.drop(_KIND_WARM_START, stale)
+                    for kind in _SUPERSEDED_KINDS:
+                        self._artifacts.drop(kind, stale)
             span.set_attr("version", snapshot.version)
         self._count_publish(len(replacements))
         return snapshot
@@ -755,7 +807,7 @@ class ModelStore:
         """
         if not name or not isinstance(name, str):
             raise BackendError(f"invalid backend name {name!r}")
-        if name == self._native.name:
+        if name == self.builtin_backend:
             raise BackendError(
                 f"backend {name!r} is built into every store: its state is "
                 f"each snapshot's own RTF slots, refreshed with them, so it "
@@ -792,6 +844,15 @@ class ModelStore:
                 f"(attached: {sorted(self._backends)})"
             )
         return backend
+
+    @property
+    def builtin_backend(self) -> str:
+        """Name of the estimator built into every snapshot (``rtf_gsp``).
+
+        It is served without an attach, and :meth:`attach_backend`
+        rejects its name.
+        """
+        return self._native.name
 
     @property
     def attached_backends(self) -> Tuple[str, ...]:

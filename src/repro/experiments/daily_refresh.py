@@ -12,8 +12,9 @@ test days in order and answers the same query stream with
 
 then reports per-day MAPE alongside the store telemetry that the
 refactor is supposed to keep economical: the published version, the
-cumulative Γ_R derivations (exactly one per refreshed slot per day),
-and the GSP structure recompilations (likewise one per new digest).
+cumulative Γ_R rows derived (each day only the rows OCS reads of the one
+refreshed slot, never the whole table), and the GSP structure
+recompilations (one per new digest).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class DailyRefreshRow:
     store_version: int
     static_mape: float
     refreshed_mape: float
+    #: Cumulative Γ_R source rows derived by the refreshed system.
     corr_derivations: int
     gsp_recompilations: int
 
@@ -95,7 +97,7 @@ def run(
             mapes.append(
                 mean_absolute_percentage_error(result.estimates_kmh, truths)
             )
-        derivations = live.store.stats.correlation_derivations
+        derivations = live.store.stats.correlation_row_derivations
         recompilations = live.gsp_engine.stats.structure_misses
         live.refresh(
             {data.slot: data.test_history.day(day)[local]},
@@ -121,7 +123,7 @@ def format_table(rows: Sequence[DailyRefreshRow]) -> str:
         "version",
         "static MAPE",
         "refreshed MAPE",
-        "Γ_R derived",
+        "Γ_R rows derived",
         "GSP recompiled",
     ]
     body = [

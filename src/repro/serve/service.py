@@ -173,6 +173,12 @@ class ServeConfig:
             raise ServeError("ServeConfig.max_coalesce must be >= 1")
         if self.coalesce_window_s < 0 or self.degrade_margin_s < 0:
             raise ServeError("serve windows/margins must be >= 0")
+        if self.default_deadline_s is not None and not self.default_deadline_s > 0:
+            # ``not x > 0`` rejects NaN too.
+            raise ServeError(
+                f"ServeConfig.default_deadline_s must be > 0 or None, "
+                f"got {self.default_deadline_s}"
+            )
 
 
 @dataclass(frozen=True)

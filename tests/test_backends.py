@@ -172,6 +172,30 @@ class TestBuiltInRTFGSP:
         with pytest.raises(errors.BackendError, match="built into"):
             system.attach_backend("rtf_gsp", history=tiny_dataset.train_history)
 
+    def test_attach_rejected_before_any_fit(self, system, tiny_dataset, monkeypatch):
+        """The built-in name is refused before a backend is built or fitted."""
+        import repro.backends.registry as registry
+
+        def no_create(*args, **kwargs):
+            raise AssertionError("create_backend ran for the built-in name")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran for the built-in name")
+
+        monkeypatch.setattr(registry, "create_backend", no_create)
+        monkeypatch.setattr(RTFGSPBackend, "fit", no_fit)
+        assert system.store.builtin_backend == "rtf_gsp"
+        version = system.store.version
+        with pytest.raises(errors.BackendError, match="built into"):
+            system.attach_backend("rtf_gsp", history=tiny_dataset.train_history)
+        with pytest.raises(errors.BackendError, match="built into"):
+            system.attach_backend(
+                "rtf_gsp",
+                history=tiny_dataset.train_history,
+                backend=RTFGSPBackend(tiny_dataset.network),
+            )
+        assert system.store.version == version
+
     def test_matches_answer_after_publish(self, system, tiny_dataset):
         """A published slot change reaches the backend: no stale copy."""
         world = {"data": tiny_dataset, "system": system}

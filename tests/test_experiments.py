@@ -261,11 +261,13 @@ class TestDailyRefresh:
         )
 
     def test_one_correlation_derivation_per_day(self, rows):
-        # Cumulative Γ_R derivations grow by exactly one per day: the
-        # single refreshed slot, never the whole table.
-        assert [r.corr_derivations for r in rows] == list(
-            range(1, len(rows) + 1)
-        )
+        # Each day derives Γ_R rows for the single refreshed slot only:
+        # the rows OCS reads (R^q plus the roads it selects), never the
+        # whole table.
+        n_roads = default_semisyn(QUICK).network.n_roads
+        totals = [r.corr_derivations for r in rows]
+        per_day = np.diff([0] + totals)
+        assert all(0 < k < n_roads for k in per_day), (per_day, n_roads)
 
     def test_format_table(self, rows):
         from repro.experiments import daily_refresh

@@ -131,6 +131,15 @@ class TestServeConfig:
         with pytest.raises(errors.ServeError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize("deadline_s", [float("nan"), -1.0, 0.0, float("-inf")])
+    def test_non_positive_default_deadline_rejected(self, deadline_s):
+        with pytest.raises(errors.ServeError, match="default_deadline_s"):
+            ServeConfig(default_deadline_s=deadline_s)
+
+    @pytest.mark.parametrize("deadline_s", [None, 1e-9, 0.5])
+    def test_positive_or_no_default_deadline_accepted(self, deadline_s):
+        assert ServeConfig(default_deadline_s=deadline_s).default_deadline_s == deadline_s
+
 
 class TestDeadline:
     def test_check_raises_typed_timeout_after_expiry(self):
