@@ -15,7 +15,7 @@ pipeline.  This module defines the neutral contract that lifts it off:
   estimate stage calls once per backend per batch.  By default it
   answers each query through ``estimate``; a backend that can share
   work across a batch overrides it (the built-in ``rtf_gsp`` runs one
-  batched GSP propagation per precision).
+  batched GSP propagation).
 
 State blobs must be plain picklable values (dataclasses over numpy
 arrays and mappings) so snapshots can be serialized and shipped between

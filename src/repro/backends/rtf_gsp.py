@@ -12,7 +12,7 @@ the slots in :meth:`ModelStore.refresh` and cannot be attached.
 The backend's :class:`~repro.core.gsp.GSPEngine` is the system's one
 propagation engine (``CrowdRTSE.gsp_engine``).  The batch hook
 (:meth:`RTFGSPBackend.estimate_batch`) runs one
-:meth:`GSPEngine.propagate_batch` per request precision and seeds each
+:meth:`GSPEngine.propagate_batch` over the whole batch and seeds each
 propagation from the snapshot's warm-start fields; the per-request
 :meth:`~EstimatorBackend.estimate` template (shadow scoring, direct
 calls) propagates cold.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.backends.base import BackendEstimate, EstimatorBackend
-from repro.core.gsp import GSPConfig, GSPEngine, PrecisionPolicy
+from repro.core.gsp import GSPConfig, GSPEngine
 from repro.core.inference import fit_rtf
 from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFSlot
@@ -62,23 +62,6 @@ class _SlotView(Mapping[int, RTFSlot]):
 
     def __len__(self) -> int:
         return len(self._slots)
-
-
-def resolve_gsp_config(
-    gsp_config: Optional[GSPConfig], precision: str
-) -> Optional[GSPConfig]:
-    """The effective propagation config under a request's precision.
-
-    ``float64`` leaves ``gsp_config`` untouched (including ``None``
-    → engine default), so the reference path stays bit-identical;
-    any other policy is applied via
-    :meth:`~repro.core.gsp.GSPConfig.with_precision`.
-    """
-    policy = PrecisionPolicy.coerce(precision)
-    if policy is PrecisionPolicy.FLOAT64:
-        return gsp_config
-    base = gsp_config if gsp_config is not None else GSPConfig()
-    return base.with_precision(policy)
 
 
 def _warm_seed(
@@ -170,62 +153,57 @@ class RTFGSPBackend(EstimatorBackend):
         queries: Sequence["PreparedQuery"],
         gsp_config: Optional[GSPConfig] = None,
     ) -> List[Union[BackendEstimate, ReproError]]:
-        """One :meth:`GSPEngine.propagate_batch` per request precision.
+        """One :meth:`GSPEngine.propagate_batch` over the whole batch.
 
-        The kernel dtype is a config-level property, so the queries are
-        grouped by ``request.precision``.  Each group fetches every
-        warm-start seed before it stores any, so the queries of one
-        batch seed from earlier answers, never from each other.  The
-        provenance of each estimate carries its ``GSPResult`` under
-        ``"gsp"``.  A propagation failure fails its whole precision
-        group (stray internal exceptions arrive as
+        Every query whose slot parameters resolve joins the one call.
+        All warm-start seeds are fetched before any is stored, so the
+        queries of one batch seed from earlier answers, never from each
+        other.  The provenance of each estimate carries its
+        ``GSPResult`` under ``"gsp"``.  A propagation failure fails
+        every query in the call (stray internal exceptions arrive as
         ``InternalError("gsp")``).
         """
         config = gsp_config if gsp_config is not None else self._gsp_config
         outcomes: Dict[int, Union[BackendEstimate, ReproError]] = {}
-        params: Dict[int, RTFSlot] = {}
-        groups: Dict[str, List[int]] = {}
+        members: List[int] = []
+        items: List[Tuple[RTFSlot, Mapping[int, float]]] = []
         for k, query in enumerate(queries):
             request = query.request
             try:
                 if query.deadline is not None:
                     query.deadline.check("gsp")
                 state = query.snapshot.backend_state(request.backend)
-                params[k] = self._params_of(state, request.slot)
+                items.append((self._params_of(state, request.slot), query.probes))
             except ReproError as exc:
                 outcomes[k] = exc
                 continue
-            groups.setdefault(request.precision, []).append(k)
-        for precision, members in groups.items():
-            group = [queries[k] for k in members]
-            keys = [frozenset(query.probes) for query in group]
-            seeds = [_warm_seed(query, key) for query, key in zip(group, keys)]
-            items = [(params[k], queries[k].probes) for k in members]
-            try:
-                with wrap_internal("gsp"):
-                    results = self._engine.propagate_batch(
-                        items,
-                        resolve_gsp_config(config, precision),
-                        initial_fields=seeds,
-                    )
-            except ReproError as exc:
-                for k in members:
-                    outcomes[k] = exc
-                continue
-            for k, query, key, gsp_result in zip(members, group, keys, results):
-                slot = query.request.slot
-                if query.request.warm_start and gsp_result.converged:
-                    query.snapshot.store_warm_field(slot, key, gsp_result.speeds)
-                outcomes[k] = BackendEstimate(
-                    backend=self.name,
-                    slot=slot,
-                    speeds=gsp_result.speeds,
-                    provenance={
-                        "sweeps": gsp_result.sweeps,
-                        "converged": gsp_result.converged,
-                        "gsp": gsp_result,
-                    },
+            members.append(k)
+        if not members:
+            return [outcomes[k] for k in range(len(queries))]
+        group = [queries[k] for k in members]
+        keys = [frozenset(query.probes) for query in group]
+        seeds = [_warm_seed(query, key) for query, key in zip(group, keys)]
+        try:
+            with wrap_internal("gsp"):
+                results = self._engine.propagate_batch(
+                    items, config, initial_fields=seeds
                 )
+        except ReproError as exc:
+            return [outcomes.get(k, exc) for k in range(len(queries))]
+        for k, query, key, gsp_result in zip(members, group, keys, results):
+            slot = query.request.slot
+            if query.request.warm_start and gsp_result.converged:
+                query.snapshot.store_warm_field(slot, key, gsp_result.speeds)
+            outcomes[k] = BackendEstimate(
+                backend=self.name,
+                slot=slot,
+                speeds=gsp_result.speeds,
+                provenance={
+                    "sweeps": gsp_result.sweeps,
+                    "converged": gsp_result.converged,
+                    "gsp": gsp_result,
+                },
+            )
         return [outcomes[k] for k in range(len(queries))]
 
     def _params_of(self, state: object, slot: int) -> RTFSlot:

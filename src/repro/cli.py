@@ -96,13 +96,6 @@ def _add_latency_args(parser: argparse.ArgumentParser) -> None:
     """Shared per-request latency knobs (``query`` and ``serve``)."""
     group = parser.add_argument_group("latency")
     group.add_argument(
-        "--precision", choices=("float64", "float32"), default=None,
-        help="GSP sweep precision: float64 is the bit-exact reference, "
-        "float32 the fast opt-in mode (documented tolerance contract; "
-        "see docs/API.md).  Default: float64, or whatever the trace "
-        "line carries",
-    )
-    group.add_argument(
         "--no-warm-start", action="store_true",
         help="disable warm-starting GSP from the previous converged "
         "field (warm starts converge to the same fixed point within "
@@ -273,7 +266,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         theta=args.theta,
         selector=args.selector,
         rng=np.random.default_rng(args.seed),
-        precision=args.precision or "float64",
         warm_start=not args.no_warm_start,
     )
     result = system.answer_query(request, market=market, truth=truth)
@@ -456,8 +448,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         overrides = {"truth": oracles[key]}
         if args.backend != "rtf_gsp":
             overrides["backend"] = args.backend
-        if args.precision is not None:
-            overrides["precision"] = args.precision
         if args.no_warm_start:
             overrides["warm_start"] = False
         return dataclasses.replace(item, **overrides)

@@ -42,7 +42,6 @@ from repro.core.gsp import (
     GSPProvenance,
     GSPResult,
     GSPSchedule,
-    PrecisionPolicy,
     PropagationStructure,
     build_propagation_structure,
     engine_for,
@@ -112,7 +111,6 @@ __all__ = [
     "GSPProvenance",
     "GSPResult",
     "GSPSchedule",
-    "PrecisionPolicy",
     "PropagationStructure",
     "build_propagation_structure",
     "engine_for",

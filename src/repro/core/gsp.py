@@ -45,6 +45,7 @@ repeated queries with overlapping selections skip the graph work.
 from __future__ import annotations
 
 import enum
+import numbers
 import threading
 import time
 import warnings
@@ -88,48 +89,6 @@ class GSPKernel(str, enum.Enum):
     #: Fused numpy group updates; any schedule except ``RANDOM``
     #: (``BFS``/``INDEX`` run as wavefront groups, same arithmetic).
     VECTORIZED = "vectorized"
-
-
-class PrecisionPolicy(str, enum.Enum):
-    """Numeric precision of the propagation sweep.
-
-    The **tolerance contract**: ``FLOAT64`` is the reference precision —
-    every differential test and the batched/coalesced serving paths are
-    bit-identical under it.  ``FLOAT32`` is an opt-in speed/memory mode
-    for the vectorized kernel: the sweep state and folded parameters are
-    cast down once, sweeps run in single precision, and the returned
-    field is upcast with observed roads re-clamped to their exact probed
-    values.  Non-observed roads are guaranteed within
-    :attr:`field_rtol` relative divergence of the float64 field on
-    converged runs (enforced by ``tests/test_precision.py``); selections
-    and everything upstream of GSP are precision-independent.
-    """
-
-    FLOAT64 = "float64"
-    FLOAT32 = "float32"
-
-    @property
-    def dtype(self) -> "np.dtype":
-        """The numpy dtype sweeps run in."""
-        return np.dtype(np.float32 if self is PrecisionPolicy.FLOAT32 else np.float64)
-
-    @property
-    def field_rtol(self) -> float:
-        """Documented relative divergence bound vs the float64 field."""
-        return 5e-4 if self is PrecisionPolicy.FLOAT32 else 0.0
-
-    @classmethod
-    def coerce(cls, value: "str | PrecisionPolicy") -> "PrecisionPolicy":
-        """Accept a policy or its string spelling (``"float32"``)."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            raise ModelError(
-                f"unknown precision {value!r}; expected one of "
-                f"{sorted(p.value for p in cls)}"
-            ) from None
 
 
 #: Fixed-order Gauss-Seidel schedules: the engine compiles their
@@ -231,9 +190,6 @@ class GSPConfig:
         strict: Raise :class:`ConvergenceError` when the sweep budget is
             exhausted (default: return the last iterate).
         seed: RNG seed for the RANDOM schedule.
-        precision: Sweep precision; see :class:`PrecisionPolicy`.
-            ``FLOAT32`` requires the vectorized kernel (use
-            :meth:`with_precision` to adjust the schedule when needed).
     """
 
     epsilon: float = 1e-3
@@ -242,44 +198,17 @@ class GSPConfig:
     kernel: GSPKernel = GSPKernel.AUTO
     strict: bool = False
     seed: Optional[int] = None
-    precision: PrecisionPolicy = PrecisionPolicy.FLOAT64
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ModelError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_sweeps <= 0:
-            raise ModelError(f"max_sweeps must be positive, got {self.max_sweeps}")
-        object.__setattr__(self, "precision", PrecisionPolicy.coerce(self.precision))
-
-    def with_precision(self, precision: "str | PrecisionPolicy") -> "GSPConfig":
-        """This config adjusted to run under ``precision``.
-
-        ``FLOAT32`` only runs on the vectorized kernel.  Vectorizable
-        schedules (every one but ``RANDOM``) are kept; ``RANDOM`` with
-        the ``AUTO`` kernel is upgraded to ``BFS_PARALLEL``, and an
-        explicitly ``REFERENCE`` kernel raises :class:`ModelError`.
-        """
-        from dataclasses import replace
-
-        policy = PrecisionPolicy.coerce(precision)
-        if policy is PrecisionPolicy.FLOAT64:
-            return replace(self, precision=policy)
-        if self.schedule in VECTORIZABLE_SCHEDULES:
-            if self.kernel is GSPKernel.REFERENCE:
-                raise ModelError(
-                    "float32 precision requires the vectorized kernel; "
-                    "the reference kernel is float64-only"
-                )
-            return replace(self, precision=policy)
-        if self.kernel is not GSPKernel.AUTO:
+        # ``not 0 < x < inf`` also rejects NaN, which compares false.
+        if not 0.0 < self.epsilon < float("inf"):
             raise ModelError(
-                "float32 precision requires a vectorizable schedule "
-                f"({sorted(s.value for s in VECTORIZABLE_SCHEDULES)}); "
-                f"got {self.schedule.value!r} with kernel {self.kernel.value!r}"
+                f"epsilon must be positive and finite, got {self.epsilon}"
             )
-        return replace(
-            self, precision=policy, schedule=GSPSchedule.BFS_PARALLEL
-        )
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise ModelError(
+                f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}"
+            )
 
     def resolved_kernel(self) -> GSPKernel:
         """The concrete kernel AUTO resolves to for this schedule."""
@@ -726,7 +655,7 @@ class GSPEngine:
 
         Raises:
             ModelError: On index/shape problems or an impossible
-                kernel/schedule/precision combination.
+                kernel/schedule combination.
             ConvergenceError: In ``strict`` mode when ε is not reached.
 
         Warns:
@@ -736,11 +665,6 @@ class GSPEngine:
         """
         cfg = config or GSPConfig()
         kernel = cfg.resolved_kernel()
-        if cfg.precision is PrecisionPolicy.FLOAT32 and kernel is not GSPKernel.VECTORIZED:
-            raise ModelError(
-                "float32 precision requires the vectorized kernel "
-                "(see GSPConfig.with_precision)"
-            )
         params.check_against(self._network)
         n = self._network.n_roads
         for road, value in observed.items():
@@ -804,12 +728,6 @@ class GSPEngine:
                 speeds, sweeps, converged, history = _vectorized_sweeps(
                     structure, compiled, speeds, cfg
                 )
-                if cfg.precision is PrecisionPolicy.FLOAT32:
-                    # Upcast and re-clamp: observed roads keep their exact
-                    # probed values regardless of the sweep precision.
-                    speeds = speeds.astype(np.float64)
-                    for road, value in observed.items():
-                        speeds[road] = float(value)
             else:
                 structure_hit = schedule_hit = False
                 speeds, sweeps, converged, history = _reference_sweeps(
@@ -925,22 +843,17 @@ def _vectorized_sweeps(
 ) -> Tuple[np.ndarray, int, bool, List[float]]:
     """Fused group updates until ε-convergence (Eq. 18, whole groups)."""
     # Gather the per-group parameter slices once per call; only the
-    # neighbour-value gather remains inside the sweep loop.  Under the
-    # FLOAT32 policy the folded parameters and the iterate are cast down
-    # once here and the whole sweep runs single-precision.
-    dtype = cfg.precision.dtype
-    if speeds.dtype != dtype:
-        speeds = speeds.astype(dtype)
+    # neighbour-value gather remains inside the sweep loop.
     prepared = []
     for group in compiled.groups:
         prepared.append(
             (
                 group.nodes,
                 structure.indices[group.flat],
-                structure.weights[group.flat].astype(dtype, copy=False),
+                structure.weights[group.flat],
                 group.owner,
-                structure.const_pull[group.nodes].astype(dtype, copy=False),
-                structure.denom[group.nodes].astype(dtype, copy=False),
+                structure.const_pull[group.nodes],
+                structure.denom[group.nodes],
                 group.nodes.size,
             )
         )

@@ -571,9 +571,9 @@ class CrowdRTSE:
                 ``market`` is unset.
             truth: Ground-truth oracle the (simulated) workers measure;
                 fills a request whose ``truth`` is unset.
-            gsp_config: Propagation knobs; the request's ``precision``
-                is applied on top via
-                :meth:`~repro.core.gsp.GSPConfig.with_precision`.
+            gsp_config: Propagation knobs of the ``rtf_gsp`` backend
+                (``None`` → its default
+                :class:`~repro.core.gsp.GSPConfig`).
             snapshot: Pre-pinned model version to serve from.  The
                 serving layer pins one snapshot per worker batch and
                 passes it here; direct callers leave it ``None`` and the
@@ -647,7 +647,7 @@ class CrowdRTSE:
         group goes to its backend's
         :meth:`~repro.backends.base.EstimatorBackend.estimate_batch`
         hook in one call (for the built-in ``rtf_gsp``: one
-        :meth:`GSPEngine.propagate_batch` per precision, warm-seeded).
+        warm-seeded :meth:`GSPEngine.propagate_batch` call).
 
         Returns:
             One outcome per query, in input order: its
@@ -678,19 +678,6 @@ class CrowdRTSE:
             if isinstance(outcomes[k], QueryResult):
                 self._record_query_metrics(query, finished_s)
         return [outcomes[k] for k in range(len(prepared))]
-
-    @staticmethod
-    def resolve_gsp_config(
-        gsp_config: Optional[GSPConfig], precision: str
-    ) -> Optional[GSPConfig]:
-        """The effective propagation config under a request's precision.
-
-        See :func:`repro.backends.rtf_gsp.resolve_gsp_config`, which the
-        built-in ``rtf_gsp`` backend applies per precision group.
-        """
-        from repro.backends.rtf_gsp import resolve_gsp_config
-
-        return resolve_gsp_config(gsp_config, precision)
 
     @staticmethod
     def _record_query_metrics(prepared: PreparedQuery, finished_s: float) -> None:

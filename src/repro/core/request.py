@@ -5,19 +5,13 @@ pipeline (:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the
 serving layer (:meth:`~repro.serve.service.QueryService.submit`), the
 workload JSONL format, and the CLI all construct and consume it.
 
-The request also carries the two per-query latency knobs introduced with
-it:
-
-* ``precision`` — the GSP sweep precision
-  (:class:`~repro.core.gsp.PrecisionPolicy` spelling; ``"float64"`` is
-  the bit-exact reference, ``"float32"`` the opt-in fast mode with a
-  documented tolerance contract);
-* ``warm_start`` — seed the propagation from the previous converged
-  field of the same ``(parameter digest, R^c)`` pair when one is cached
-  (:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
-  runs converge to the same fixed point within the solver's ε, not
-  bit-identically — pass ``warm_start=False`` for answers that are
-  byte-stable across repeated queries.
+The request also carries the per-query latency knob ``warm_start``:
+seed the propagation from the previous converged field of the same
+``(parameter digest, R^c)`` pair when one is cached
+(:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
+runs converge to the same fixed point within the solver's ε, not
+bit-identically — pass ``warm_start=False`` for answers that are
+byte-stable across repeated queries.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.errors import ModelError
-from repro.core.gsp import PrecisionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids crowd import at runtime
     from repro.crowd.market import CrowdMarket, TruthOracle
@@ -59,10 +52,6 @@ class EstimationRequest:
             with same-slot neighbours.
         backend: Estimator backend that turns the probes into the speed
             field (``"rtf_gsp"`` is the paper's GSP pipeline).
-        precision: GSP sweep precision, ``"float64"`` (reference) or
-            ``"float32"`` (opt-in; see
-            :class:`~repro.core.gsp.PrecisionPolicy` for the tolerance
-            contract).
         warm_start: Seed GSP from the previous converged field of the
             same ``(parameter digest, R^c)`` when cached.  Converges to
             the same fixed point within ε, not bit-identically.
@@ -81,7 +70,6 @@ class EstimationRequest:
     rng: Optional[np.random.Generator] = None
     coalescable: bool = True
     backend: str = "rtf_gsp"
-    precision: str = "float64"
     warm_start: bool = True
     day: int = 0
 
@@ -95,16 +83,6 @@ class EstimationRequest:
             raise ModelError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
-        # Normalize to the canonical string spelling, rejecting unknown
-        # precisions at construction instead of deep inside the solver.
-        object.__setattr__(
-            self, "precision", PrecisionPolicy.coerce(self.precision).value
-        )
-
-    @property
-    def precision_policy(self) -> PrecisionPolicy:
-        """The request's precision as a :class:`PrecisionPolicy`."""
-        return PrecisionPolicy.coerce(self.precision)
 
     def bound(
         self,

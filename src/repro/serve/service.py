@@ -21,8 +21,8 @@ properties a serving tier needs:
   requests share a single pipeline execution.  Every batch takes the
   same path: each distinct request is selected and probed on its own,
   then the system's estimate stage answers them all together — one
-  :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call per precision,
-  in which each item still does its own structure lookup.
+  :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call, in which
+  each item still does its own structure lookup.
 * **Graceful degradation** — when the deadline is (nearly) spent or the
   crowd cannot be probed (budget exhausted, no workers), the request
   falls back to the Per baseline
@@ -553,7 +553,6 @@ class QueryService:
             float(request.theta),
             request.selector,
             request.backend,
-            request.precision,
             request.warm_start,
             id(request.market),
             id(request.truth),

@@ -6,7 +6,7 @@ A workload trace is JSON-lines, one
     {"slot": 93, "queried": [3, 7, 11], "budget": 20}
     {"slot": 94, "queried": [3, 7, 11], "budget": 20, "day": 1,
      "theta": 0.9, "selector": "hybrid", "deadline_s": 0.25,
-     "precision": "float32", "warm_start": true}
+     "warm_start": false}
 
 ``repro serve --requests trace.jsonl`` replays such a trace through a
 :class:`~repro.serve.service.QueryService` and reports latency
@@ -35,8 +35,23 @@ from repro.serve.service import QueryService
 #: Keys a trace line may carry (anything else is rejected loudly).
 _TRACE_KEYS = {
     "slot", "queried", "budget", "theta", "selector", "deadline_s",
-    "day", "backend", "precision", "warm_start",
+    "day", "backend", "warm_start",
 }
+
+
+def _integral(value: object, key: str, where: str) -> int:
+    """A JSON number with no fractional part, as an int.
+
+    ``int()`` would truncate ``1.7`` to road 1 and accept ``true`` as 1;
+    a trace that says either is wrong, so it fails instead.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise DatasetError(f"{where}: {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
@@ -44,8 +59,10 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
 
     Raises:
         DatasetError: On unreadable files, malformed JSON, missing
-            required keys, or unknown keys (typos should fail, not
-            silently serve a default).
+            required keys, unknown keys (typos should fail, not
+            silently serve a default), non-integral ``queried``/``slot``/
+            ``day`` values, or a ``warm_start`` that is not a JSON
+            boolean.
     """
     items: List[EstimationRequest] = []
     try:
@@ -56,42 +73,46 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"{path}:{lineno}: invalid JSON: {exc}"
-            ) from exc
+            raise DatasetError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
-            raise DatasetError(f"{path}:{lineno}: each line must be an object")
+            raise DatasetError(f"{where}: each line must be an object")
         unknown = set(record) - _TRACE_KEYS
         if unknown:
             raise DatasetError(
-                f"{path}:{lineno}: unknown keys {sorted(unknown)} "
+                f"{where}: unknown keys {sorted(unknown)} "
                 f"(allowed: {sorted(_TRACE_KEYS)})"
+            )
+        warm_start = record.get("warm_start", True)
+        if not isinstance(warm_start, bool):
+            raise DatasetError(
+                f"{where}: warm_start must be true or false, got {warm_start!r}"
             )
         try:
             deadline_s: Optional[float] = None
             if record.get("deadline_s") is not None:
                 deadline_s = float(record["deadline_s"])
+            queried = record["queried"]
+            if not isinstance(queried, list):
+                raise DatasetError(f"{where}: queried must be a list, got {queried!r}")
             items.append(
                 EstimationRequest(
-                    queried=tuple(int(q) for q in record["queried"]),
-                    slot=int(record["slot"]),
+                    queried=tuple(_integral(q, "queried", where) for q in queried),
+                    slot=_integral(record["slot"], "slot", where),
                     budget=float(record["budget"]),
                     theta=float(record.get("theta", 0.92)),
                     selector=str(record.get("selector", "hybrid")),
                     deadline_s=deadline_s,
                     backend=str(record.get("backend", DEFAULT_BACKEND)),
-                    precision=str(record.get("precision", "float64")),
-                    warm_start=bool(record.get("warm_start", True)),
-                    day=int(record.get("day", 0)),
+                    warm_start=warm_start,
+                    day=_integral(record.get("day", 0), "day", where),
                 )
             )
         except (KeyError, TypeError, ValueError, ModelError) as exc:
-            raise DatasetError(
-                f"{path}:{lineno}: malformed request: {exc}"
-            ) from exc
+            raise DatasetError(f"{where}: malformed request: {exc}") from exc
     if not items:
         raise DatasetError(f"workload trace {path} contains no requests")
     return items
@@ -102,9 +123,9 @@ def save_workload(
 ) -> None:
     """Write a trace back out as JSON-lines (inverse of :func:`load_workload`).
 
-    The latency knobs ``backend``/``precision``/``warm_start`` are
-    written only when they differ from the request defaults, so default
-    traces stay minimal.
+    The latency knobs ``backend``/``warm_start`` are written only when
+    they differ from the request defaults, so default traces stay
+    minimal.
     """
     lines = []
     for item in items:
@@ -120,8 +141,6 @@ def save_workload(
             record["deadline_s"] = item.deadline_s
         if item.backend != DEFAULT_BACKEND:
             record["backend"] = item.backend
-        if item.precision != "float64":
-            record["precision"] = item.precision
         if not item.warm_start:
             record["warm_start"] = item.warm_start
         lines.append(json.dumps(record))

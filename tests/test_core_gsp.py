@@ -19,13 +19,17 @@ def flat_slot(net, mu=50.0, sigma=3.0, rho=0.8, slot=0):
 
 
 class TestConfig:
-    def test_invalid_epsilon(self):
-        with pytest.raises(ModelError):
-            GSPConfig(epsilon=0)
+    @pytest.mark.parametrize("epsilon", [0, -1e-3, float("nan"), float("inf")])
+    def test_invalid_epsilon(self, epsilon):
+        # NaN would run every sweep and end non-converged; inf would stop
+        # after one pass and report converged.
+        with pytest.raises(ModelError, match="epsilon"):
+            GSPConfig(epsilon=epsilon)
 
-    def test_invalid_sweeps(self):
-        with pytest.raises(ModelError):
-            GSPConfig(max_sweeps=0)
+    @pytest.mark.parametrize("max_sweeps", [0, -3, 2.5, 3.0, "10"])
+    def test_invalid_sweeps(self, max_sweeps):
+        with pytest.raises(ModelError, match="max_sweeps"):
+            GSPConfig(max_sweeps=max_sweeps)
 
     def test_auto_kernel_resolution(self):
         for schedule in (

@@ -3,7 +3,7 @@
 One request type crosses the pipeline, the serving layer, the workload
 format and the CLI.  These tests pin its contract:
 
-* construction-time validation (deadline, precision) raises
+* construction-time validation (deadline) raises
   :class:`~repro.errors.ModelError`, not a deep solver error;
 * ``answer_query`` takes only an :class:`EstimationRequest`: the removed
   ``answer_query(queried, slot, budget, ...)`` spelling is rejected.
@@ -16,7 +16,6 @@ import pytest
 
 import repro
 from repro import errors
-from repro.core.gsp import PrecisionPolicy
 from repro.core.request import EstimationRequest
 from repro.errors import ModelError
 
@@ -41,21 +40,6 @@ class TestConstruction:
     def test_nonpositive_deadline_rejected(self, deadline_s):
         with pytest.raises(ModelError, match="deadline_s"):
             EstimationRequest(queried=(1,), slot=0, budget=5, deadline_s=deadline_s)
-
-    def test_unknown_precision_rejected(self):
-        with pytest.raises(ModelError, match="precision"):
-            EstimationRequest(queried=(1,), slot=0, budget=5, precision="float16")
-
-    def test_precision_policy_property(self):
-        req = EstimationRequest(queried=(1,), slot=0, budget=5, precision="float32")
-        assert req.precision_policy is PrecisionPolicy.FLOAT32
-        assert req.precision == "float32"
-
-    def test_precision_accepts_policy_instance(self):
-        req = EstimationRequest(
-            queried=(1,), slot=0, budget=5, precision=PrecisionPolicy.FLOAT32
-        )
-        assert req.precision == "float32"
 
     def test_warm_start_defaults_on(self):
         assert EstimationRequest(queried=(1,), slot=0, budget=5).warm_start is True

@@ -8,6 +8,7 @@ degraded fallback's provable equivalence to the Per baseline.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -630,7 +631,7 @@ class TestWorkload:
             EstimationRequest(
                 queried=(4,), slot=94, budget=10.0, theta=0.9,
                 selector="ratio", deadline_s=0.25, day=1,
-                precision="float32", warm_start=False,
+                warm_start=False,
             ),
         ]
         path = tmp_path / "trace.jsonl"
@@ -645,13 +646,48 @@ class TestWorkload:
         with pytest.raises(errors.DatasetError, match="unknown keys.*deadline_ms"):
             load_workload(path)
 
-    def test_bad_precision_rejected_as_dataset_error(self, tmp_path):
+    def test_precision_key_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(
-            '{"slot": 1, "queried": [1], "budget": 5, "precision": "float16"}\n'
+            '{"slot": 1, "queried": [1], "budget": 5, "precision": "float64"}\n'
         )
-        with pytest.raises(errors.DatasetError, match="malformed request"):
+        with pytest.raises(errors.DatasetError, match="unknown keys.*precision"):
             load_workload(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("warm_start", "false", "warm_start must be true or false"),
+            ("warm_start", 0, "warm_start must be true or false"),
+            ("queried", [1.7], "queried must be an integer"),
+            ("queried", [True], "queried must be an integer"),
+            ("queried", "12", "queried must be a list"),
+            ("day", 2.9, "day must be an integer"),
+            ("slot", 1.5, "slot must be an integer"),
+            ("slot", "1", "slot must be an integer"),
+        ],
+        ids=[
+            "warm_start-str", "warm_start-int", "queried-float", "queried-bool",
+            "queried-str", "day-float", "slot-float", "slot-str",
+        ],
+    )
+    def test_bad_values_rejected_with_line(self, tmp_path, key, value, message):
+        good = {"slot": 1, "queried": [1], "budget": 5}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, key: value}) + "\n"
+        )
+        with pytest.raises(errors.DatasetError, match=f"trace.jsonl:2: {message}"):
+            load_workload(path)
+
+    def test_integral_floats_load_as_ints(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"slot": 1.0, "queried": [2.0, 3], "budget": 5, "day": 1.0}\n'
+        )
+        (item,) = load_workload(path)
+        assert (item.slot, item.queried, item.day) == (1, (2, 3), 1)
+        assert isinstance(item.slot, int) and isinstance(item.day, int)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

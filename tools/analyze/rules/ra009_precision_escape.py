@@ -1,16 +1,20 @@
-"""RA009: float32 kernel values must not cross the public result boundary.
+"""RA009: float32 values must not cross the public result boundary.
 
-The float64 result contract (PR 9): ``QueryResult`` and
-``BackendEstimate`` always carry float64 fields, whatever
-:class:`PrecisionPolicy` the sweep ran under — float32 is an internal
-kernel optimization, laundered back up with ``.astype(np.float64)``
-before anything escapes.  A float32 array that leaks into a public
+The float64 result contract: ``QueryResult`` and ``BackendEstimate``
+always carry float64 fields.  GSP sweeps run in float64 end to end, but
+speed histories are stored compactly:
+:class:`~repro.traffic.history.SpeedHistory` keeps its ``(days, slots,
+roads)`` array as float32 (``traffic/history.py``), and the simulator
+(``traffic/simulator.py``) and the dataset loaders
+(``datasets/loaders.py``) build it from float32 casts.  Its accessors
+(``slot_samples``, ``day``) upcast with ``dtype=np.float64``; the raw
+``values`` view does not.  A float32 array that leaks into a public
 result silently halves every downstream consumer's precision (and
 breaks the documented dtype).
 
 Taint: values become ``f32`` at literal float32 casts
 (``.astype(np.float32)``, ``dtype=np.float32``, ``np.float32(...)``,
-``"float32"`` dtype strings, ``PrecisionPolicy.FLOAT32.dtype()``), flow
+``"float32"`` dtype strings, an enum member's ``FLOAT32.dtype()``), flow
 through arithmetic, helper returns (call-graph summaries), and
 containers, and are killed by float64 casts (``.astype(np.float64)``,
 ``dtype=float``/``np.float64``, ``float(...)``).  Sinks are the
@@ -92,7 +96,7 @@ class _PrecisionSpec(TaintSpec):
             if TAG_F32 in ctx.evaluate(dtype_arg):
                 return {TAG_F32}
         if isinstance(callee, ast.Attribute) and callee.attr == "dtype":
-            # PrecisionPolicy.FLOAT32.dtype()
+            # An enum member's dtype, e.g. ``Policy.FLOAT32.dtype()``.
             if "FLOAT32" in (dotted_name(callee.value) or ""):
                 return {TAG_F32}
         return None
@@ -110,8 +114,8 @@ class RA009PrecisionEscape(Rule):
     name = "precision-escape"
     rationale = (
         "QueryResult/BackendEstimate document float64 fields; a float32 "
-        "kernel array escaping the boundary silently halves downstream "
-        "precision"
+        "array (e.g. raw SpeedHistory storage) escaping the boundary "
+        "silently halves downstream precision"
     )
 
     def check(self, project: Project) -> List[Finding]:
