@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule
 from repro.core.rtf import RTFSlot
+from repro.core.store import ModelStore
 
 QUICK = os.environ.get("GSP_PERF_QUICK", "") == "1"
 GRID = (20, 20) if QUICK else (46, 46)
@@ -80,15 +81,20 @@ def test_vectorized_kernel_speedup_and_equivalence(perf_world, schedule):
         kernel=GSPKernel.VECTORIZED,
     )
 
+    # The serving path hands in the structure its snapshot compiled.
+    structure = ModelStore.from_slots(network, [params]).current().propagation_structure(
+        params.slot
+    )
+
     start = time.perf_counter()
     reference = engine.propagate(params, observed, ref_config)
     reference_s = time.perf_counter() - start
 
-    engine.propagate(params, observed, vec_config)  # compile + warm caches
+    engine.propagate(params, observed, vec_config, structure=structure)  # warm caches
     vectorized_s = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        vectorized = engine.propagate(params, observed, vec_config)
+        vectorized = engine.propagate(params, observed, vec_config, structure=structure)
         vectorized_s = min(vectorized_s, time.perf_counter() - start)
 
     # Equal work: the counters surfaced on GSPResult prove both kernels
@@ -113,16 +119,28 @@ def test_vectorized_kernel_speedup_and_equivalence(perf_world, schedule):
 
 def test_warm_cache_skips_compilation(perf_world):
     network, params, observed = perf_world
+    store = ModelStore.from_slots(network, [params])
     engine = GSPEngine(network)
     config = _config(GSPKernel.VECTORIZED)
     cold = engine.propagate(params, observed, config)
-    warm = engine.propagate(params, observed, config)
+    warm = engine.propagate(
+        params,
+        observed,
+        config,
+        structure=store.current().propagation_structure(params.slot),
+    )
+    again = engine.propagate(
+        params,
+        observed,
+        config,
+        structure=store.current().propagation_structure(params.slot),
+    )
     assert not cold.provenance.structure_cache_hit and not cold.provenance.schedule_cache_hit
     assert warm.provenance.structure_cache_hit and warm.provenance.schedule_cache_hit
     assert np.array_equal(cold.speeds, warm.speeds)
-    stats = engine.stats.as_dict()
-    assert stats["structure_misses"] == 1
-    assert stats["schedule_misses"] == 1
+    assert np.array_equal(cold.speeds, again.speeds)
+    assert store.stats.propagation_derivations == 1
+    assert store.stats.propagation_hits == 1
 
 
 def test_batch_reuses_schedule_across_slots(perf_world):
@@ -131,10 +149,14 @@ def test_batch_reuses_schedule_across_slots(perf_world):
         RTFSlot(params.slot + k, params.mu + k, params.sigma, params.rho)
         for k in range(3)
     ]
+    store = ModelStore.from_slots(network, slots)
+    snapshot = store.current()
     engine = GSPEngine(network)
     results = engine.propagate_batch(
-        [(slot, observed) for slot in slots], _config(GSPKernel.VECTORIZED)
+        [(slot, observed) for slot in slots],
+        _config(GSPKernel.VECTORIZED),
+        structures=[snapshot.propagation_structure(slot.slot) for slot in slots],
     )
+    # One shared schedule compilation, one structure per slot.
     assert [r.provenance.schedule_cache_hit for r in results] == [False, True, True]
-    assert engine.stats.structure_misses == 3  # one structure per slot
-    assert engine.stats.schedule_misses == 1  # one shared compilation
+    assert store.stats.propagation_derivations == 3

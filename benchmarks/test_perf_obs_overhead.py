@@ -4,8 +4,9 @@ The telemetry added to the online loop is only acceptable if a
 deployment that never enables it pays nothing.  This gate times the
 instrumented ``GSPEngine.propagate`` (obs disabled, the default) against
 an inlined replica of the *pre-instrumentation* propagate — the same
-validation, cache access, and vectorized sweeps, with none of the span /
-metrics bookkeeping — and bounds the relative overhead at 5%.
+validation, cache access, and vectorized sweeps on the same handed-in
+structure, with none of the span / metrics bookkeeping — and bounds the
+relative overhead at 5%.
 
 Runs in two modes:
 
@@ -26,7 +27,13 @@ import pytest
 import repro
 from repro import obs
 from repro.core import gsp as gsp_module
-from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule
+from repro.core.gsp import (
+    GSPConfig,
+    GSPEngine,
+    GSPKernel,
+    GSPSchedule,
+    build_propagation_structure,
+)
 from repro.core.rtf import RTFSlot
 from repro.obs.metrics import _NOOP
 from repro.obs.tracing import _NULL_SPAN
@@ -65,7 +72,12 @@ def perf_world():
     return network, params, observed, config
 
 
-def baseline_propagate(engine, network, params, observed, cfg):
+def slot_structure(network, params):
+    """The slot's compiled structure, as the serving path hands it in."""
+    return build_propagation_structure(network, params.propagation_arrays(network))
+
+
+def baseline_propagate(engine, network, params, observed, cfg, structure):
     """The propagate body as it stood before instrumentation.
 
     Validation, clamping, warm-cache access and the vectorized sweeps —
@@ -84,7 +96,6 @@ def baseline_propagate(engine, network, params, observed, cfg):
     for road, value in observed.items():
         speeds[road] = float(value)
     observed_set = frozenset(int(road) for road in observed)
-    structure, _ = engine.structure_for(params)
     compiled, _ = engine.schedule_for(cfg.schedule, observed_set, structure)
     speeds, sweeps, converged, history = gsp_module._vectorized_sweeps(
         structure, compiled, speeds, cfg
@@ -97,7 +108,8 @@ def test_disabled_obs_overhead_within_bound(perf_world):
     network, params, observed, config = perf_world
     obs.disable_all()
     engine = GSPEngine(network)
-    engine.propagate(params, observed, config)  # compile + warm caches
+    structure = slot_structure(network, params)
+    engine.propagate(params, observed, config, structure=structure)  # warm caches
 
     def measure():
         baseline_s = instrumented_s = float("inf")
@@ -105,12 +117,12 @@ def test_disabled_obs_overhead_within_bound(perf_world):
         for _ in range(ROUNDS):
             start = time.perf_counter()
             speeds_base, sweeps_base, _, _ = baseline_propagate(
-                engine, network, params, observed, config
+                engine, network, params, observed, config, structure
             )
             baseline_s = min(baseline_s, time.perf_counter() - start)
 
             start = time.perf_counter()
-            result = engine.propagate(params, observed, config)
+            result = engine.propagate(params, observed, config, structure=structure)
             instrumented_s = min(instrumented_s, time.perf_counter() - start)
         # Same work, same numbers — apples to apples.
         assert result.sweeps == sweeps_base == SWEEPS
@@ -156,13 +168,16 @@ def test_enabled_sampler_overhead_within_bound(perf_world):
     obs.configure(metrics=True, tracing=False)
     try:
         engine = GSPEngine(network)
-        engine.propagate(params, observed, config)  # compile + warm caches
+        structure = slot_structure(network, params)
+        engine.propagate(params, observed, config, structure=structure)  # warm caches
 
         def measure():
             plain_s = sampled_s = float("inf")
             for _ in range(ROUNDS):
                 start = time.perf_counter()
-                result_plain = engine.propagate(params, observed, config)
+                result_plain = engine.propagate(
+                    params, observed, config, structure=structure
+                )
                 plain_s = min(plain_s, time.perf_counter() - start)
             monitor = HealthMonitor(
                 registry=obs.get_metrics(),
@@ -173,7 +188,9 @@ def test_enabled_sampler_overhead_within_bound(perf_world):
             try:
                 for _ in range(ROUNDS):
                     start = time.perf_counter()
-                    result_sampled = engine.propagate(params, observed, config)
+                    result_sampled = engine.propagate(
+                        params, observed, config, structure=structure
+                    )
                     sampled_s = min(sampled_s, time.perf_counter() - start)
             finally:
                 monitor.close()

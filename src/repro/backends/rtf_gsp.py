@@ -12,10 +12,13 @@ the slots in :meth:`ModelStore.refresh` and cannot be attached.
 The backend's :class:`~repro.core.gsp.GSPEngine` is the system's one
 propagation engine (``CrowdRTSE.gsp_engine``).  The batch hook
 (:meth:`RTFGSPBackend.estimate_batch`) runs one
-:meth:`GSPEngine.propagate_batch` over the whole batch and seeds each
-propagation from the snapshot's warm-start fields; the per-request
-:meth:`~EstimatorBackend.estimate` template (shadow scoring, direct
-calls) propagates cold.
+:meth:`GSPEngine.propagate_batch` over the whole batch, with each
+query's propagation structure read from its pinned snapshot
+(:meth:`~repro.core.store.ModelSnapshot.propagation_structure`, compiled
+once per slot digest) and each propagation seeded from the snapshot's
+warm-start fields.  The per-request :meth:`~EstimatorBackend.estimate`
+template (shadow scoring, direct calls) sees only the state blob, so it
+propagates cold and compiles the slot's structure for that call.
 """
 
 from __future__ import annotations
@@ -98,14 +101,12 @@ class RTFGSPBackend(EstimatorBackend):
         gsp_config: Optional[GSPConfig] = None,
     ) -> None:
         super().__init__(network)
-        # Cached CSR structures and schedules are keyed by parameter
-        # digest, so a refresh recompiles exactly the touched slots.
         self._engine = GSPEngine(network)
         self._gsp_config = gsp_config
 
     @property
     def engine(self) -> GSPEngine:
-        """The propagation engine (exposes cache stats for diagnostics)."""
+        """The propagation engine (its schedule cache serves every query)."""
         return self._engine
 
     @staticmethod
@@ -155,7 +156,8 @@ class RTFGSPBackend(EstimatorBackend):
     ) -> List[Union[BackendEstimate, ReproError]]:
         """One :meth:`GSPEngine.propagate_batch` over the whole batch.
 
-        Every query whose slot parameters resolve joins the one call.
+        Every query whose slot parameters resolve joins the one call,
+        with the structure its snapshot compiled for the slot.
         All warm-start seeds are fetched before any is stored, so the
         queries of one batch seed from earlier answers, never from each
         other.  The provenance of each estimate carries its
@@ -185,8 +187,12 @@ class RTFGSPBackend(EstimatorBackend):
         seeds = [_warm_seed(query, key) for query, key in zip(group, keys)]
         try:
             with wrap_internal("gsp"):
+                structures = [
+                    query.snapshot.propagation_structure(query.request.slot)
+                    for query in group
+                ]
                 results = self._engine.propagate_batch(
-                    items, config, initial_fields=seeds
+                    items, config, initial_fields=seeds, structures=structures
                 )
         except ReproError as exc:
             return [outcomes.get(k, exc) for k in range(len(queries))]

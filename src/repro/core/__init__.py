@@ -35,7 +35,6 @@ from repro.core.ocs import (
 )
 from repro.core.gsp import (
     CompiledSchedule,
-    GSPCacheStats,
     GSPConfig,
     GSPEngine,
     GSPKernel,
@@ -44,7 +43,6 @@ from repro.core.gsp import (
     GSPSchedule,
     PropagationStructure,
     build_propagation_structure,
-    engine_for,
     independent_update_groups,
     propagate,
     propagate_batch,
@@ -104,7 +102,6 @@ __all__ = [
     "ratio_greedy",
     "trivial_solution",
     "CompiledSchedule",
-    "GSPCacheStats",
     "GSPConfig",
     "GSPEngine",
     "GSPKernel",
@@ -113,7 +110,6 @@ __all__ = [
     "GSPSchedule",
     "PropagationStructure",
     "build_propagation_structure",
-    "engine_for",
     "independent_update_groups",
     "propagate",
     "propagate_batch",

@@ -37,9 +37,12 @@ Two kernels implement the sweep:
   itself on the fused kernel; only ``RANDOM`` needs the reference loop.
 
 :class:`GSPEngine` owns both kernels for one network and caches the
-expensive precomputations: the propagation structure per slot-parameter
-signature, and the BFS layers / colourings per ``frozenset(R^c)``, so
-repeated queries with overlapping selections skip the graph work.
+BFS layers / colourings per ``frozenset(R^c)``, so repeated queries with
+overlapping selections skip the graph work.  The per-slot propagation
+structure is an input: the serving path hands in the one its
+:class:`~repro.core.store.ModelSnapshot` compiled once per slot digest
+(:meth:`~repro.core.store.ModelSnapshot.propagation_structure`); a call
+without one compiles it for that call only.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConvergenceError, ConvergenceWarning, ModelError
-from repro.core.rtf import RTFSlot, params_signature
+from repro.core.rtf import RTFSlot
 from repro.network.graph import TrafficNetwork
 from repro.obs import DEFAULT_ITERATION_BUCKETS, DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
 
@@ -232,16 +235,15 @@ class GSPConfig:
 class GSPProvenance:
     """Cache provenance of one propagation.
 
-    Mirrors the ``gsp.cache.lookups`` metric series; kept on the result
-    so a single propagation stays self-describing without reading the
-    registry.
+    Kept on the result so a single propagation stays self-describing
+    without reading the metrics registry.
 
     Attributes:
-        structure_cache_hit: Whether the propagation structure came out
-            of the engine cache (False for cold runs and the stateless
-            reference builder).
+        structure_cache_hit: Whether the propagation structure was
+            handed in rather than compiled by this call (False on the
+            reference kernel, which reads none).
         schedule_cache_hit: Whether the BFS layers / colouring came out
-            of the engine cache.
+            of the engine cache (mirrors ``gsp.cache.lookups``).
         warm_start: Whether the sweep was seeded from a caller-provided
             field instead of the prior means μ.
     """
@@ -264,9 +266,8 @@ class GSPResult:
         runtime_seconds: Wall-clock time.
         schedule: Update ordering that produced this result.
         kernel: Code path that produced it (``REFERENCE``/``VECTORIZED``).
-        provenance: Cache hit/miss provenance of this propagation; the
-            same facts are published on the ``gsp.cache.lookups`` metric
-            and the ``gsp.cache`` trace events.
+        provenance: Cache provenance of this propagation; the same
+            facts are published on the ``gsp.cache`` trace events.
     """
 
     speeds: np.ndarray
@@ -306,9 +307,9 @@ class PropagationStructure:
         weights: Edge precisions per flat slot, shape ``(2·n_edges,)``.
         const_pull: Value-independent numerator per road.
         denom: Eq. 18 denominator per road.
-        mu: Prior means (the propagation's initial iterate).
-        signature: Content digest of the slot parameters this structure
-            was compiled from — the engine's cache key.
+        arrays: The ``(prior_precision, prior_pull, edge_precision,
+            edge_mu)`` arrays it was compiled from
+            (:meth:`RTFSlot.propagation_arrays` order).
     """
 
     indptr: np.ndarray
@@ -316,13 +317,7 @@ class PropagationStructure:
     weights: np.ndarray
     const_pull: np.ndarray
     denom: np.ndarray
-    mu: np.ndarray
-    signature: bytes
-
-    @property
-    def n_roads(self) -> int:
-        """Number of roads the structure covers."""
-        return self.denom.shape[0]
+    arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -361,19 +356,21 @@ class CompiledSchedule:
 
 
 def build_propagation_structure(
-    network: TrafficNetwork, params: RTFSlot
+    network: TrafficNetwork,
+    arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> PropagationStructure:
     """Compile the CSR neighbour structure for one slot (vectorized).
 
-    Uses :meth:`RTFSlot.propagation_arrays` for the per-road and
-    per-edge precisions; every step below is array work, no per-node
-    Python loop.
+    Every step is array work, no per-node Python loop.
+
+    Args:
+        network: The road graph.
+        arrays: The slot's per-road and per-edge precisions on
+            ``network``, as :meth:`RTFSlot.propagation_arrays` returns
+            them (or as a snapshot file persisted them).
     """
-    params.check_against(network)
     n = network.n_roads
-    prior_precision, prior_pull, edge_precision, edge_mu = params.propagation_arrays(
-        network
-    )
+    prior_precision, prior_pull, edge_precision, edge_mu = arrays
     if network.edges:
         ei, ej = np.array(network.edges, dtype=np.intp).T
         src = np.concatenate([ei, ej])
@@ -404,8 +401,7 @@ def build_propagation_structure(
         weights=weights,
         const_pull=const_pull,
         denom=denom,
-        mu=params.mu.astype(np.float64, copy=True),
-        signature=params_signature(params),
+        arrays=(prior_precision, prior_pull, edge_precision, edge_mu),
     )
 
 
@@ -465,116 +461,45 @@ def _schedule_node_groups(
     raise ModelError(f"unknown schedule {schedule!r}")  # pragma: no cover
 
 
-@dataclass
-class GSPCacheStats:
-    """Hit/miss counters of one :class:`GSPEngine`."""
-
-    structure_hits: int = 0
-    structure_misses: int = 0
-    schedule_hits: int = 0
-    schedule_misses: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counters as a plain dict (for logs and tests)."""
-        return {
-            "structure_hits": self.structure_hits,
-            "structure_misses": self.structure_misses,
-            "schedule_hits": self.schedule_hits,
-            "schedule_misses": self.schedule_misses,
-        }
-
-
 class GSPEngine:
-    """Vectorized GSP solver with cached precomputations for one network.
+    """Vectorized GSP solver with a cached schedule compilation for one network.
 
-    The engine owns two keyed LRU caches:
-
-    * **structures** — :class:`PropagationStructure` per slot-parameter
-      content digest (:func:`params_signature`).  Changing ``mu`` /
-      ``sigma`` / ``rho`` changes the digest, so stale precisions can
-      never be reused.
-    * **schedules** — :class:`CompiledSchedule` per
-      ``(schedule, frozenset(R^c))``.  Layers and colourings depend only
-      on topology and the observed set, so one compilation serves every
-      slot and every repeated query with the same selection.
+    The engine keeps one keyed LRU: the :class:`CompiledSchedule` per
+    ``(schedule, frozenset(R^c))``.  Layers and colourings depend only
+    on topology and the observed set, so one compilation serves every
+    slot and every repeated query with the same selection.  The per-slot
+    :class:`PropagationStructure` is an input (see :meth:`propagate`).
 
     The engine is bound to one immutable :class:`TrafficNetwork`;
     propagating with parameters of mismatched dimensions raises
-    :class:`ModelError` (networks themselves are immutable, so a changed
-    road graph is necessarily a *different* network object and gets a
-    fresh engine — see :func:`engine_for`).
+    :class:`ModelError`.
 
     Args:
         network: The road graph.
-        max_structures: LRU capacity of the structure cache.
         max_schedules: LRU capacity of the schedule cache.
     """
 
-    def __init__(
-        self,
-        network: TrafficNetwork,
-        max_structures: int = 8,
-        max_schedules: int = 64,
-    ) -> None:
-        if max_structures <= 0 or max_schedules <= 0:
-            raise ModelError("cache capacities must be positive")
+    def __init__(self, network: TrafficNetwork, max_schedules: int = 64) -> None:
+        if max_schedules <= 0:
+            raise ModelError("max_schedules must be positive")
         self._network = network
-        self._max_structures = max_structures
         self._max_schedules = max_schedules
-        self._structures: "OrderedDict[bytes, PropagationStructure]" = OrderedDict()
         self._schedules: "OrderedDict[Tuple[GSPSchedule, frozenset], CompiledSchedule]" = (
             OrderedDict()
         )
-        # Guards the two LRU OrderedDicts: concurrent readers (snapshot-
-        # isolated answer_query calls) share one engine, and OrderedDict
-        # mutation is not thread-safe.  Compilation on miss happens
-        # outside the lock; a racing duplicate build is harmless (last
-        # write wins on identical immutable values).
-        self._lock = threading.RLock()
-        self.stats = GSPCacheStats()
+        # Guards the LRU OrderedDict: concurrent readers (snapshot-
+        # isolated answers) share one engine, and OrderedDict mutation is
+        # not thread-safe.  Compilation on miss happens outside the lock;
+        # a racing duplicate build is harmless (last write wins on
+        # identical immutable values).
+        self._lock = threading.Lock()
 
     @property
     def network(self) -> TrafficNetwork:
         """The road graph this engine is compiled against."""
         return self._network
 
-    def clear(self) -> None:
-        """Drop both caches (counters are kept)."""
-        with self._lock:
-            self._structures.clear()
-            self._schedules.clear()
-
     # -- cache plumbing -------------------------------------------------
-
-    def structure_for(
-        self, params: RTFSlot
-    ) -> Tuple[PropagationStructure, bool]:
-        """The CSR structure for one slot, compiling on miss.
-
-        Returns:
-            ``(structure, cache_hit)``.
-        """
-        key = params_signature(params)
-        metrics = get_metrics()
-        with self._lock:
-            cached = self._structures.get(key)
-            if cached is not None:
-                self._structures.move_to_end(key)
-                self.stats.structure_hits += 1
-                metrics.counter(
-                    "gsp.cache.lookups", {"cache": "structure", "result": "hit"}
-                ).inc()
-                return cached, True
-        structure = build_propagation_structure(self._network, params)
-        with self._lock:
-            self._structures[key] = structure
-            if len(self._structures) > self._max_structures:
-                self._structures.popitem(last=False)
-            self.stats.structure_misses += 1
-        metrics.counter(
-            "gsp.cache.lookups", {"cache": "structure", "result": "miss"}
-        ).inc()
-        return structure, False
 
     def schedule_for(
         self,
@@ -593,7 +518,6 @@ class GSPEngine:
             cached = self._schedules.get(key)
             if cached is not None:
                 self._schedules.move_to_end(key)
-                self.stats.schedule_hits += 1
                 metrics.counter(
                     "gsp.cache.lookups", {"cache": "schedule", "result": "hit"}
                 ).inc()
@@ -619,7 +543,6 @@ class GSPEngine:
             self._schedules[key] = compiled
             if len(self._schedules) > self._max_schedules:
                 self._schedules.popitem(last=False)
-            self.stats.schedule_misses += 1
         metrics.counter(
             "gsp.cache.lookups", {"cache": "schedule", "result": "miss"}
         ).inc()
@@ -634,8 +557,9 @@ class GSPEngine:
         config: Optional[GSPConfig] = None,
         *,
         initial_field: Optional[np.ndarray] = None,
+        structure: Optional[PropagationStructure] = None,
     ) -> GSPResult:
-        """Run GSP for one slot (Alg. 5), using the cached structures.
+        """Run GSP for one slot (Alg. 5), using the cached schedules.
 
         Args:
             params: RTF parameters of the query slot.
@@ -649,6 +573,10 @@ class GSPEngine:
                 cuts sweeps-to-convergence.  Callers are responsible for
                 the seed's freshness — see
                 ``ModelSnapshot.warm_field``/``store_warm_field``.
+            structure: The slot's compiled :class:`PropagationStructure`
+                (e.g. ``ModelSnapshot.propagation_structure``); it must
+                have been compiled from ``params``.  Without one, the
+                vectorized kernel compiles it for this call only.
 
         Returns:
             A :class:`GSPResult`.
@@ -718,7 +646,11 @@ class GSPEngine:
                 )
 
             if kernel is GSPKernel.VECTORIZED:
-                structure, structure_hit = self.structure_for(params)
+                structure_hit = structure is not None
+                if structure is None:
+                    structure = build_propagation_structure(
+                        self._network, params.propagation_arrays(self._network)
+                    )
                 compiled, schedule_hit = self.schedule_for(
                     cfg.schedule, observed_set, structure
                 )
@@ -800,33 +732,39 @@ class GSPEngine:
         config: Optional[GSPConfig] = None,
         *,
         initial_fields: Optional[Sequence[Optional[np.ndarray]]] = None,
+        structures: Optional[Sequence[Optional[PropagationStructure]]] = None,
     ) -> List[GSPResult]:
         """Answer several time slots in one call.
 
         Each item is a ``(slot parameters, observed speeds)`` pair; the
         BFS/colouring compilation is shared across items whose observed
-        sets coincide, and structures are shared across items that reuse
-        a slot's parameters.
+        sets coincide.
 
         Args:
             items: Per-slot propagation inputs.
             config: Solver knobs applied to every item.
             initial_fields: Optional per-item warm-start seeds, aligned
                 with ``items`` (``None`` entries cold-start from μ).
+            structures: Optional per-item compiled structures, aligned
+                with ``items`` (``None`` entries compile their own; see
+                :meth:`propagate`).
 
         Returns:
             One :class:`GSPResult` per item, in input order.
         """
-        if initial_fields is not None and len(initial_fields) != len(items):
-            raise ModelError(
-                f"initial_fields length {len(initial_fields)} does not match "
-                f"{len(items)} items"
-            )
-        seeds: Sequence[Optional[np.ndarray]]
-        seeds = initial_fields if initial_fields is not None else [None] * len(items)
+        none: List[None] = [None] * len(items)
+        seeds = initial_fields if initial_fields is not None else none
+        compiled = structures if structures is not None else none
+        for name, given in (("initial_fields", seeds), ("structures", compiled)):
+            if len(given) != len(items):
+                raise ModelError(
+                    f"{name} length {len(given)} does not match {len(items)} items"
+                )
         return [
-            self.propagate(params, observed, config, initial_field=seed)
-            for (params, observed), seed in zip(items, seeds)
+            self.propagate(
+                params, observed, config, initial_field=seed, structure=structure
+            )
+            for (params, observed), seed, structure in zip(items, seeds, compiled)
         ]
 
 
@@ -990,34 +928,6 @@ def _reference_sweeps(
 # Module-level facade
 # ----------------------------------------------------------------------
 
-#: Engines keyed by network, LRU-bounded.  Keyed by network *content*
-#: (TrafficNetwork is immutable with value equality/hash), so an equal
-#: rebuild of the same city shares its engine while any topology change
-#: necessarily maps to a fresh one.
-_ENGINES: "OrderedDict[TrafficNetwork, GSPEngine]" = OrderedDict()
-_MAX_ENGINES = 4
-_ENGINES_LOCK = threading.Lock()
-
-
-def engine_for(network: TrafficNetwork) -> GSPEngine:
-    """The shared :class:`GSPEngine` for a network (created on demand)."""
-    with _ENGINES_LOCK:
-        engine = _ENGINES.get(network)
-        if engine is None:
-            engine = GSPEngine(network)
-            _ENGINES[network] = engine
-            if len(_ENGINES) > _MAX_ENGINES:
-                _ENGINES.popitem(last=False)
-        else:
-            _ENGINES.move_to_end(network)
-        return engine
-
-
-def clear_engine_cache() -> None:
-    """Drop every shared engine (mainly for tests)."""
-    with _ENGINES_LOCK:
-        _ENGINES.clear()
-
 
 def propagate(
     network: TrafficNetwork,
@@ -1027,8 +937,8 @@ def propagate(
 ) -> GSPResult:
     """Run GSP (Alg. 5).
 
-    Stateless facade over the shared per-network :class:`GSPEngine`, so
-    repeated calls on the same network reuse cached structures.
+    Stateless facade: each call runs on a fresh :class:`GSPEngine`, so it
+    compiles its structure and schedule and keeps neither.
 
     Args:
         network: Road graph.
@@ -1044,7 +954,7 @@ def propagate(
         ModelError: On index/shape problems.
         ConvergenceError: In ``strict`` mode when ε is not reached.
     """
-    return engine_for(network).propagate(params, observed, config)
+    return GSPEngine(network).propagate(params, observed, config)
 
 
 def propagate_batch(
@@ -1053,4 +963,4 @@ def propagate_batch(
     config: Optional[GSPConfig] = None,
 ) -> List[GSPResult]:
     """Answer several time slots in one call (see :meth:`GSPEngine.propagate_batch`)."""
-    return engine_for(network).propagate_batch(items, config)
+    return GSPEngine(network).propagate_batch(items, config)

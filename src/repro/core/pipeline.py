@@ -290,10 +290,10 @@ class CrowdRTSE:
 
     @property
     def gsp_engine(self) -> GSPEngine:
-        """The propagation engine (exposes cache stats for diagnostics).
+        """The propagation engine of the store's built-in ``rtf_gsp`` backend.
 
-        The store's built-in ``rtf_gsp`` backend owns it, so every query
-        shares its digest-keyed CSR structures and compilations.
+        Every query shares its schedule compilations; the per-slot
+        structures it reads come from the pinned snapshot.
         """
         from repro.backends.registry import DEFAULT_BACKEND
 

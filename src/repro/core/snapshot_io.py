@@ -15,7 +15,8 @@ through ``np.memmap``:
   first touch instead of being copied eagerly;
 * the precomputed digests let :func:`load_store` skip the SHA-1 pass
   over the parameter arrays, and the persisted propagation arrays are
-  seeded straight into the store's artifact cache.
+  seeded straight into the store's artifact cache, where each slot's GSP
+  structure is compiled from them.
 
 File layout::
 
@@ -261,6 +262,8 @@ class SnapshotFile:
                         f"{_array_key(name, t)!r}"
                     )
         self._mmap = mmap
+        #: The network :meth:`check_network` accepted (for verify_digests).
+        self._network: Optional[TrafficNetwork] = None
         self._buffer: Optional[np.memmap] = None
         if mmap:
             try:
@@ -284,6 +287,7 @@ class SnapshotFile:
                 f"(fingerprint mismatch: expected {network.n_roads} roads / "
                 f"{network.n_edges} edges)"
             )
+        self._network = network
 
     def array(self, name: str, slot: int) -> np.ndarray:
         """One persisted array — a read-only mmap view when enabled.
@@ -378,7 +382,9 @@ def load_store(
     * the store adopts the file's per-slot digests instead of re-hashing
       every parameter array;
     * persisted propagation arrays are seeded into the artifact cache,
-      so the first GSP propagation skips its derivation too.
+      so each slot's GSP structure is compiled from them instead of
+      re-deriving them from μ/σ/ρ (:func:`verify_digests` checks them
+      against the parameters).
 
     Raises:
         ModelError: On any corruption or a network mismatch.
@@ -404,18 +410,40 @@ def load_store(
 
 
 def verify_digests(snapshot: SnapshotFile) -> None:
-    """Recompute every slot digest and compare against the header.
+    """Recompute every slot digest and persisted array; compare.
 
-    :func:`load_store` trusts the header digests for speed; this is the
-    paranoid full check for operators validating a file after transfer.
+    :func:`load_store` trusts the header digests and the persisted
+    propagation arrays for speed; this is the paranoid full check for
+    operators validating a file after transfer.  Each slot's μ/σ/ρ must
+    hash to its header digest and, when the file carries propagation
+    arrays, those must equal the arrays re-derived from μ/σ/ρ on the
+    network the file was opened for (:func:`read_snapshot`).
 
     Raises:
-        ModelError: When any slot's content does not match its digest.
+        ModelError: When any slot's content does not match its digest,
+            its propagation arrays do not match its parameters, or the
+            file has propagation arrays but was opened without a network.
     """
+    network = snapshot._network
+    if snapshot.has_propagation and network is None:
+        raise ModelError(
+            f"snapshot {snapshot.path}: open it with read_snapshot(path, "
+            f"network) to verify its propagation arrays"
+        )
     for t in snapshot.slots:
-        actual = params_signature(snapshot.slot_params(t))
-        if actual != snapshot.digests[t]:
+        params = snapshot.slot_params(t)
+        if params_signature(params) != snapshot.digests[t]:
             raise ModelError(
                 f"snapshot {snapshot.path}: slot {t} content does not match "
                 f"its header digest (file tampered or corrupted)"
             )
+        if snapshot.has_propagation and network is not None:
+            derived = params.propagation_arrays(network)
+            persisted = snapshot.propagation_arrays(t)
+            for name, want, got in zip(_PROPAGATION_ARRAYS, derived, persisted):
+                if not np.array_equal(want, got):
+                    raise ModelError(
+                        f"snapshot {snapshot.path}: slot {t} array {name!r} "
+                        f"does not match its parameters (file tampered or "
+                        f"corrupted)"
+                    )

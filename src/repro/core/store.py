@@ -14,8 +14,8 @@ plain :class:`~repro.core.rtf.RTFModel` + eager
   derived artifacts as the previous version (``is``-shared, not copied),
   so version churn costs O(k), not O(S).
 * **Lazy, digest-keyed derivation** — correlation matrices Γ_R,
-  row-on-demand Γ_R views and propagation arrays are derived per slot on
-  first use and cached by the content digest of the slot parameters
+  row-on-demand Γ_R views and GSP propagation structures are derived per
+  slot on first use and cached by the content digest of the slot parameters
   (:func:`~repro.core.rtf.params_signature`).  A 288-slot model no
   longer materializes 288 dense ``(n, n)`` matrices up front, and a
   refreshed slot's new digest can never collide with its stale artifact.
@@ -43,6 +43,7 @@ from repro.core.correlation import (
     PathWeightMode,
     road_road_correlation_matrix,
 )
+from repro.core.gsp import PropagationStructure, build_propagation_structure
 from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFModel, RTFSlot, params_signature
 from repro.network.graph import TrafficNetwork
@@ -55,14 +56,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 _KIND_CORRELATION = "correlation"
 #: Row-on-demand Γ_R views (:class:`CorrelationRows`) — what OCS reads.
 _KIND_CORRELATION_ROWS = "correlation_rows"
+#: The compiled GSP :class:`PropagationStructure` — what GSP reads.
 _KIND_PROPAGATION = "propagation"
+#: Persisted propagation arrays seeded from a snapshot file: never
+#: derived or counted, only read by the structure compile of their digest.
+_KIND_PROPAGATION_ARRAYS = "propagation_arrays"
 #: Warm-start GSP seed fields, keyed by slot-parameter digest.  Unlike
 #: the derived kinds these are *written back* after a propagation and
 #: explicitly dropped when a refresh replaces the slot (same atomic
 #: publish), so a stale seed can never outlive its parameters.
 _KIND_WARM_START = "warm_start"
 #: Kinds a publish drops for each digest it supersedes.
-_SUPERSEDED_KINDS = (_KIND_WARM_START, _KIND_CORRELATION, _KIND_CORRELATION_ROWS)
+_SUPERSEDED_KINDS = (
+    _KIND_WARM_START, _KIND_CORRELATION, _KIND_CORRELATION_ROWS,
+    _KIND_PROPAGATION, _KIND_PROPAGATION_ARRAYS,
+)
 
 
 @dataclass
@@ -79,6 +87,8 @@ class StoreStats:
     refreshed_slots: int = 0
     correlation_derivations: int = 0
     correlation_hits: int = 0
+    #: GSP propagation structures compiled (one per slot digest while
+    #: cached; from the file's arrays when a snapshot file seeded them).
     propagation_derivations: int = 0
     propagation_hits: int = 0
     backend_derivations: int = 0
@@ -109,7 +119,7 @@ class _ArtifactCache:
 
     Keys are ``(kind, digest)``; values are whatever the deriving
     callable produced (a dense Γ_R matrix, a :class:`CorrelationRows`
-    view, a propagation-array tuple).
+    view, a :class:`PropagationStructure`).
     Because snapshots share one cache and untouched slots keep their
     digest across publishes, a refresh of ``k`` slots invalidates
     exactly ``k`` correlation entries — the rest keep hitting.
@@ -265,7 +275,7 @@ class ModelSnapshot:
 
     Readers obtain a snapshot from :meth:`ModelStore.current` and use it
     for a whole query; nothing reachable from it ever changes.  Derived
-    artifacts (Γ_R matrices, propagation arrays) are materialized lazily
+    artifacts (Γ_R matrices, propagation structures) are materialized lazily
     through the store's shared digest-keyed cache, so structurally
     shared slots reuse the previous version's work.
     """
@@ -425,20 +435,32 @@ class ModelSnapshot:
             ),
         )
 
+    def propagation_structure(self, slot: int) -> PropagationStructure:
+        """The slot's compiled GSP structure, derived on first use.
+
+        Same cache discipline as :meth:`correlation_matrix`: compiled
+        once per slot digest (single-flight), from the arrays a snapshot
+        file seeded for that digest when there are any, else from the
+        slot's parameters.  The serving path hands it to
+        :meth:`~repro.core.gsp.GSPEngine.propagate_batch`.
+        """
+        params = self.slot(slot)
+        digest = self.digest(slot)
+        artifacts = self._artifacts
+
+        def compile_structure() -> PropagationStructure:
+            arrays = artifacts.peek(_KIND_PROPAGATION_ARRAYS, digest)
+            if arrays is None:
+                arrays = params.propagation_arrays(self._network)
+            return build_propagation_structure(self._network, arrays)
+
+        return artifacts.get_or_derive(_KIND_PROPAGATION, digest, compile_structure)
+
     def propagation_arrays(
         self, slot: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The slot's GSP precision arrays, derived on first use.
-
-        Same cache discipline as :meth:`correlation_matrix`; the GSP
-        engine keeps its own digest-keyed CSR compilation on top.
-        """
-        params = self.slot(slot)
-        return self._artifacts.get_or_derive(
-            _KIND_PROPAGATION,
-            self.digest(slot),
-            lambda: params.propagation_arrays(self._network),
-        )
+        """The GSP precision arrays the slot's structure was compiled from."""
+        return self.propagation_structure(slot).arrays
 
     @property
     def correlations(self) -> SnapshotCorrelations:
@@ -706,9 +728,10 @@ class ModelStore:
                 # version.  A reader still pinned on the old snapshot at
                 # worst cold-starts (miss); a reader of the new version
                 # can never be seeded from pre-refresh parameters.  The
-                # superseded Γ_R (dense and row view) goes too, so the
-                # LRU does not carry one per refresh; a reader pinned on
-                # the old version just re-derives what it reads.
+                # superseded Γ_R (dense and row view) and propagation
+                # structure/arrays go too, so the LRU does not carry one
+                # per refresh; a reader pinned on the old version just
+                # re-derives what it reads.
                 for stale in stale_digests:
                     for kind in _SUPERSEDED_KINDS:
                         self._artifacts.drop(kind, stale)
@@ -888,9 +911,9 @@ class ModelStore:
     ) -> None:
         """Warm the artifact cache with precomputed propagation arrays.
 
-        Used by :func:`repro.core.snapshot_io.load_store` so the first
-        GSP propagation after a cold start reads the persisted arrays
-        (typically mmap views) instead of re-deriving them.
+        Used by :func:`repro.core.snapshot_io.load_store`: the digest's
+        propagation structure is then compiled from the persisted arrays
+        (typically mmap views) instead of re-deriving them from μ/σ/ρ.
         """
         if len(arrays) != 4:
             raise ModelError(
@@ -903,7 +926,7 @@ class ModelStore:
                 f"propagation array shapes {shapes} do not match "
                 f"{n} roads / {m} edges"
             )
-        self._artifacts.seed(_KIND_PROPAGATION, digest, tuple(arrays))
+        self._artifacts.seed(_KIND_PROPAGATION_ARRAYS, digest, tuple(arrays))
 
     def _count_publish(self, n_slots: int) -> None:
         # Under the store RLock: publish() calls this after releasing its

@@ -13,8 +13,8 @@ test days in order and answers the same query stream with
 then reports per-day MAPE alongside the store telemetry that the
 refactor is supposed to keep economical: the published version, the
 cumulative Γ_R rows derived (each day only the rows OCS reads of the one
-refreshed slot, never the whole table), and the GSP structure
-recompilations (one per new digest).
+refreshed slot, never the whole table), and the cumulative GSP structure
+compilations the store counted (one per new digest).
 """
 
 from __future__ import annotations
@@ -90,15 +90,15 @@ def run(
                 ),
                 market=market_for(data, seed=seed + day),
                 truth=truth,
-                # The parallel schedule exercises the digest-keyed
-                # structure cache, so recompilations are visible.
+                # A vectorized schedule reads the store's digest-keyed
+                # propagation structure, so recompilations are visible.
                 gsp_config=GSPConfig(schedule=GSPSchedule.BFS_PARALLEL),
             )
             mapes.append(
                 mean_absolute_percentage_error(result.estimates_kmh, truths)
             )
         derivations = live.store.stats.correlation_row_derivations
-        recompilations = live.gsp_engine.stats.structure_misses
+        recompilations = live.store.stats.propagation_derivations
         live.refresh(
             {data.slot: data.test_history.day(day)[local]},
             learning_rate=learning_rate,

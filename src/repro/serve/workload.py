@@ -54,6 +54,24 @@ def _integral(value: object, key: str, where: str) -> int:
     return int(value)
 
 
+def _number(value: object, key: str, where: str) -> float:
+    """A JSON number (not a boolean), as a float.
+
+    ``float()`` would load ``true`` as 1.0 and ``"0.5"`` as 0.5; a trace
+    that says either is wrong, so it fails instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(value: object, key: str, where: str) -> str:
+    """A JSON string (``str()`` would load ``3`` as ``"3"``)."""
+    if not isinstance(value, str):
+        raise DatasetError(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
 def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
     """Parse a JSON-lines workload trace.
 
@@ -61,8 +79,9 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
         DatasetError: On unreadable files, malformed JSON, missing
             required keys, unknown keys (typos should fail, not
             silently serve a default), non-integral ``queried``/``slot``/
-            ``day`` values, or a ``warm_start`` that is not a JSON
-            boolean.
+            ``day`` values, a ``budget``/``theta``/``deadline_s`` that is
+            not a JSON number, a ``selector``/``backend`` that is not a
+            JSON string, or a ``warm_start`` that is not a JSON boolean.
     """
     items: List[EstimationRequest] = []
     try:
@@ -94,7 +113,7 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
         try:
             deadline_s: Optional[float] = None
             if record.get("deadline_s") is not None:
-                deadline_s = float(record["deadline_s"])
+                deadline_s = _number(record["deadline_s"], "deadline_s", where)
             queried = record["queried"]
             if not isinstance(queried, list):
                 raise DatasetError(f"{where}: queried must be a list, got {queried!r}")
@@ -102,11 +121,13 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
                 EstimationRequest(
                     queried=tuple(_integral(q, "queried", where) for q in queried),
                     slot=_integral(record["slot"], "slot", where),
-                    budget=float(record["budget"]),
-                    theta=float(record.get("theta", 0.92)),
-                    selector=str(record.get("selector", "hybrid")),
+                    budget=_number(record["budget"], "budget", where),
+                    theta=_number(record.get("theta", 0.92), "theta", where),
+                    selector=_string(record.get("selector", "hybrid"), "selector", where),
                     deadline_s=deadline_s,
-                    backend=str(record.get("backend", DEFAULT_BACKEND)),
+                    backend=_string(
+                        record.get("backend", DEFAULT_BACKEND), "backend", where
+                    ),
                     warm_start=warm_start,
                     day=_integral(record.get("day", 0), "day", where),
                 )

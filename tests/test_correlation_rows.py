@@ -38,6 +38,8 @@ from repro.core.rtf import RTFModel, RTFSlot
 from repro.core.store import (
     _KIND_CORRELATION,
     _KIND_CORRELATION_ROWS,
+    _KIND_PROPAGATION,
+    _KIND_PROPAGATION_ARRAYS,
     ModelStore,
 )
 from repro.datasets import truth_oracle_for
@@ -358,6 +360,35 @@ class TestPublishDropsSupersededCorrelations:
         np.testing.assert_array_equal(
             old.correlation_rows(slot).rows([2]), before[[2]]
         )
+
+
+class TestPublishDropsSupersededPropagation:
+    def test_stale_digests_leave_the_cache(self, fitted_model):
+        store = ModelStore(fitted_model)
+        old = store.current()
+        for slot in old.slots:
+            old.propagation_structure(slot)
+            store.seed_propagation(old.digest(slot), old.propagation_arrays(slot))
+        refreshed = old.slots[:2]
+        store.publish([_bumped(old.slot(t)) for t in refreshed])
+        cache = store._artifacts
+        for slot in old.slots:
+            stale = slot in refreshed
+            for kind in (_KIND_PROPAGATION, _KIND_PROPAGATION_ARRAYS):
+                assert (cache.peek(kind, old.digest(slot)) is None) == stale
+
+    def test_pinned_old_reader_recompiles(self, fitted_model):
+        store = ModelStore(fitted_model)
+        old = store.current()
+        slot = old.slots[0]
+        before = old.propagation_structure(slot)
+        store.publish([_bumped(old.slot(slot))])
+        again = old.propagation_structure(slot)
+        assert again is not before
+        for want, got in zip(before.arrays, again.arrays):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(again.const_pull, before.const_pull)
+        assert store.stats.propagation_derivations == 2
 
 
 class TestConcurrentRows:

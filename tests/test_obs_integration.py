@@ -131,20 +131,31 @@ class TestMetricsCatalog:
     def test_gsp_cache_metrics_replace_adhoc_flags(self, small_world):
         engine = GSPEngine(small_world["network"])
         params = small_world["params"]
+        snapshot = repro.ModelStore.from_slots(small_world["network"], [params]).current()
         observed = {0: 30.0, 7: 45.0}
         cfg = GSPConfig(schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED)
-        engine.propagate(params, observed, cfg)
-        engine.propagate(params, observed, cfg)
+        for _ in range(2):
+            structure = snapshot.propagation_structure(params.slot)
+            engine.propagate(params, observed, cfg, structure=structure)
         snap = obs.get_metrics().snapshot()
-        lookups = {
-            tuple(sorted(e["labels"].items())): e["value"]
-            for e in snap["counters"]
-            if e["name"] == "gsp.cache.lookups"
+
+        def lookups(name):
+            return {
+                tuple(sorted(e["labels"].items())): e["value"]
+                for e in snap["counters"]
+                if e["name"] == name
+            }
+
+        # Structures are the store's artifacts; the engine counts only
+        # its schedule cache.
+        gsp = lookups("gsp.cache.lookups")
+        assert gsp == {
+            (("cache", "schedule"), ("result", "miss")): 1,
+            (("cache", "schedule"), ("result", "hit")): 1,
         }
-        assert lookups[(("cache", "structure"), ("result", "miss"))] == 1
-        assert lookups[(("cache", "structure"), ("result", "hit"))] == 1
-        assert lookups[(("cache", "schedule"), ("result", "miss"))] == 1
-        assert lookups[(("cache", "schedule"), ("result", "hit"))] == 1
+        store = lookups("store.artifacts.lookups")
+        assert store[(("kind", "propagation"), ("result", "miss"))] == 1
+        assert store[(("kind", "propagation"), ("result", "hit"))] == 1
 
 
 class TestConvergenceWarnings:

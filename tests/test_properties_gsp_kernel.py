@@ -6,9 +6,10 @@ invariants that no example may break:
 * clamping — observed roads are returned bit-identical to their probes;
 * fixed point — at convergence every free road satisfies the Eq. 18
   update to within the convergence threshold;
-* cache transparency — a warm (cache-hit) run returns arrays equal to a
-  cold run, and stale caches are impossible because structure keys are
-  content digests of the slot parameters;
+* cache transparency — a run on a handed-in structure and cached
+  schedule returns arrays equal to a cold run, and stale structures are
+  impossible because the store keys them by content digests of the slot
+  parameters;
 * wavefront compilation — the fused groups of the sequential ``BFS`` /
   ``INDEX`` orders partition the free roads, never hold two adjacent
   roads, and order every edge's endpoints as the sequential sweep does.
@@ -28,10 +29,9 @@ from repro.core.gsp import (
     GSPKernel,
     GSPSchedule,
     build_propagation_structure,
-    engine_for,
-    params_signature,
 )
-from repro.core.rtf import RTFSlot
+from repro.core.rtf import RTFSlot, params_signature
+from repro.core.store import ModelStore
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -116,9 +116,13 @@ class TestKernelInvariants:
     def test_cache_hit_equals_cold_run(self, seed, fraction, schedule):
         network, params, observed = make_world(seed, fraction)
         config = GSPConfig(schedule=schedule, kernel=GSPKernel.VECTORIZED)
+        store = ModelStore.from_slots(network, [params])
+        structure = store.current().propagation_structure(params.slot)
+        assert store.current().propagation_structure(params.slot) is structure
+        assert store.stats.propagation_derivations == 1
         warm_engine = GSPEngine(network)
         cold = warm_engine.propagate(params, observed, config)
-        warm = warm_engine.propagate(params, observed, config)
+        warm = warm_engine.propagate(params, observed, config, structure=structure)
         fresh = GSPEngine(network).propagate(params, observed, config)
         if observed and len(observed) < network.n_roads:
             assert warm.provenance.structure_cache_hit and warm.provenance.schedule_cache_hit
@@ -142,7 +146,9 @@ class TestWavefrontCompile:
     def test_groups_replay_the_sequential_order(self, seed, fraction, schedule):
         network, params, observed = make_world(seed, fraction)
         engine = GSPEngine(network)
-        structure, _ = engine.structure_for(params)
+        structure = build_propagation_structure(
+            network, params.propagation_arrays(network)
+        )
         compiled, _ = engine.schedule_for(schedule, frozenset(observed), structure)
         order = sequential_order(network, schedule, observed)
         group_of = {
@@ -169,11 +175,14 @@ class TestCacheInvalidation:
 
     def test_changed_slot_parameters_recompile_structure(self):
         network, params, observed = self.world()
+        store = ModelStore.from_slots(network, [params])
         engine = GSPEngine(network)
         config = GSPConfig(
             schedule=GSPSchedule.BFS_PARALLEL, kernel=GSPKernel.VECTORIZED
         )
-        engine.propagate(params, observed, config)
+        old = store.current().propagation_structure(params.slot)
+        first = engine.propagate(params, observed, config, structure=old)
+        assert not first.provenance.schedule_cache_hit
         shifted = RTFSlot(
             slot=params.slot,
             mu=params.mu + 5.0,
@@ -181,36 +190,34 @@ class TestCacheInvalidation:
             rho=params.rho,
         )
         assert params_signature(shifted) != params_signature(params)
-        result = engine.propagate(shifted, observed, config)
-        # New parameters miss the structure cache but reuse the schedule
-        # (layers depend on topology + R^c only).
-        assert not result.provenance.structure_cache_hit
+        v2 = store.publish([shifted])
+        structure = v2.propagation_structure(params.slot)
+        # New parameters compile a new structure (a new digest) but reuse
+        # the schedule (layers depend on topology + R^c only).
+        assert structure is not old
+        assert store.stats.propagation_derivations == 2
+        result = engine.propagate(shifted, observed, config, structure=structure)
+        assert result.provenance.structure_cache_hit
         assert result.provenance.schedule_cache_hit
         fresh = GSPEngine(network).propagate(shifted, observed, config)
         assert np.array_equal(result.speeds, fresh.speeds)
-        assert engine.stats.structure_misses == 2
-        assert engine.stats.schedule_misses == 1
 
     def test_changed_observed_set_recompiles_schedule(self):
         network, params, observed = self.world()
         engine = GSPEngine(network)
+        structure = build_propagation_structure(
+            network, params.propagation_arrays(network)
+        )
         config = GSPConfig(
             schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED
         )
-        engine.propagate(params, observed, config)
+        engine.propagate(params, observed, config, structure=structure)
         smaller = dict(list(observed.items())[:-1])
-        result = engine.propagate(params, smaller, config)
+        result = engine.propagate(params, smaller, config, structure=structure)
         assert result.provenance.structure_cache_hit
         assert not result.provenance.schedule_cache_hit
         fresh = GSPEngine(network).propagate(params, smaller, config)
         assert np.array_equal(result.speeds, fresh.speeds)
-
-    def test_changed_network_uses_distinct_engine(self):
-        network, params, observed = self.world()
-        first = engine_for(network)
-        assert engine_for(network) is first
-        other_network = repro.grid_network(4, 4)
-        assert engine_for(other_network) is not first
 
     def test_mismatched_parameters_rejected(self):
         network, params, observed = self.world()
@@ -219,28 +226,13 @@ class TestCacheInvalidation:
         with pytest.raises(repro.ModelError):
             engine.propagate(params, observed)
 
-    def test_structure_lru_evicts_oldest(self):
-        network, params, observed = self.world()
-        engine = GSPEngine(network, max_structures=2)
-        config = GSPConfig(
-            schedule=GSPSchedule.BFS_PARALLEL, kernel=GSPKernel.VECTORIZED
-        )
-        variants = [
-            RTFSlot(params.slot, params.mu + k, params.sigma, params.rho)
-            for k in range(3)
-        ]
-        for variant in variants:
-            engine.propagate(variant, observed, config)
-        # The first variant was evicted: running it again is a miss.
-        result = engine.propagate(variants[0], observed, config)
-        assert not result.provenance.structure_cache_hit
-        assert engine.stats.structure_misses == 4
-
     def test_structure_matches_slot_export(self):
         network, params, _ = self.world()
-        structure = build_propagation_structure(network, params)
         prior_precision, prior_pull, edge_precision, edge_mu = (
             params.propagation_arrays(network)
+        )
+        structure = build_propagation_structure(
+            network, (prior_precision, prior_pull, edge_precision, edge_mu)
         )
         n = network.n_roads
         assert structure.indptr.shape == (n + 1,)

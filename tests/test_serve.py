@@ -665,10 +665,20 @@ class TestWorkload:
             ("day", 2.9, "day must be an integer"),
             ("slot", 1.5, "slot must be an integer"),
             ("slot", "1", "slot must be an integer"),
+            ("budget", True, "budget must be a number"),
+            ("budget", "5", "budget must be a number"),
+            ("theta", "0.5", "theta must be a number"),
+            ("theta", False, "theta must be a number"),
+            ("deadline_s", "0.25", "deadline_s must be a number"),
+            ("deadline_s", True, "deadline_s must be a number"),
+            ("selector", 3, "selector must be a string"),
+            ("backend", ["per"], "backend must be a string"),
         ],
         ids=[
             "warm_start-str", "warm_start-int", "queried-float", "queried-bool",
             "queried-str", "day-float", "slot-float", "slot-str",
+            "budget-bool", "budget-str", "theta-str", "theta-bool",
+            "deadline_s-str", "deadline_s-bool", "selector-int", "backend-list",
         ],
     )
     def test_bad_values_rejected_with_line(self, tmp_path, key, value, message):

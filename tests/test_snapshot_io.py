@@ -143,6 +143,28 @@ class TestFaultInjection:
         with pytest.raises(ModelError, match="digest"):
             verify_digests(snapshot)
 
+    def test_flipped_propagation_array_fails_verification(self, tmp_path, model):
+        path = tmp_path / "arrays.snap"
+        write_snapshot(path, model, include_propagation=True)
+        slot = model.slots[0]
+        record = read_snapshot(path, model.network).header["arrays"][
+            f"edge_precision_{slot}"
+        ]
+        data = bytearray(path.read_bytes())
+        offset = int(record["offset"])
+        value = np.frombuffer(bytes(data[offset : offset + 8]), dtype="<f8")[0]
+        data[offset : offset + 8] = np.array([value * 2.0], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        snapshot = read_snapshot(path, model.network)
+        # μ/σ/ρ still hash to their digests: only the arrays are wrong.
+        assert params_signature(snapshot.slot_params(slot)) == snapshot.digests[slot]
+        with pytest.raises(ModelError, match=f"slot {slot} array 'edge_precision'"):
+            verify_digests(snapshot)
+
+    def test_arrays_unverifiable_without_a_network(self, snapshot_path):
+        with pytest.raises(ModelError, match="read_snapshot"):
+            verify_digests(SnapshotFile(snapshot_path))
+
     def test_unwritable_destination_rejected(self, tmp_path, model):
         with pytest.raises(ModelError, match="cannot write"):
             write_snapshot(tmp_path / "no" / "such" / "dir" / "m.snap", model)

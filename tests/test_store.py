@@ -201,20 +201,23 @@ class TestPublish:
         from repro.core.gsp import GSPConfig, GSPEngine, GSPSchedule
 
         engine = GSPEngine(multi_world["network"])
-        # Structure caching engages on the vectorized (parallel) path.
         config = GSPConfig(schedule=GSPSchedule.BFS_PARALLEL)
-        v1 = store.current()
         probes = {0: 50.0}
+        v1 = store.current()
+        before = {t: v1.propagation_structure(t) for t in SLOTS}
         for t in SLOTS:
-            engine.propagate(v1.slot(t), probes, config)
-        assert engine.stats.structure_misses == len(SLOTS)
+            engine.propagate(v1.slot(t), probes, config, structure=before[t])
+        assert store.stats.propagation_derivations == len(SLOTS)
         v2 = store.refresh({92: multi_world["samples"][92]})
-        for t in SLOTS:
-            engine.propagate(v2.slot(t), probes, config)
+        after = {t: v2.propagation_structure(t) for t in SLOTS}
         # Untouched slots keep their digest, so only the refreshed slot
         # recompiles its propagation structure.
-        assert engine.stats.structure_misses == len(SLOTS) + 1
-        assert engine.stats.structure_hits >= len(SLOTS) - 1
+        assert store.stats.propagation_derivations == len(SLOTS) + 1
+        assert store.stats.propagation_hits == len(SLOTS) - 1
+        assert [after[t] is before[t] for t in SLOTS] == [True, False, True]
+        for t in SLOTS:
+            result = engine.propagate(v2.slot(t), probes, config, structure=after[t])
+            assert result.provenance.structure_cache_hit
 
     def test_publish_adds_new_slot(self, store, multi_world):
         network = multi_world["network"]
