@@ -18,18 +18,22 @@ query's propagation structure read from its pinned snapshot
 once per slot digest) and each propagation seeded from the snapshot's
 warm-start fields.  The per-request :meth:`~EstimatorBackend.estimate`
 template (shadow scoring, direct calls) sees only the state blob, so it
-propagates cold and compiles the slot's structure for that call.
+propagates cold; a snapshot's own state reads that snapshot's cached
+structure, and a state built elsewhere (fitted, refreshed or unpickled)
+compiles the slot's structure for that call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.backends.base import BackendEstimate, EstimatorBackend
-from repro.core.gsp import GSPConfig, GSPEngine
+from repro.core.gsp import GSPConfig, GSPEngine, PropagationStructure
 from repro.core.inference import fit_rtf
 from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFSlot
@@ -50,12 +54,25 @@ class RTFGSPState:
 
 
 class _SlotView(Mapping[int, RTFSlot]):
-    """Read-only, picklable slot → parameters view over a snapshot's map."""
+    """Read-only, picklable slot → parameters view over a snapshot's map.
 
-    __slots__ = ("_slots",)
+    ``structure`` is the snapshot's compiled-structure accessor
+    (:meth:`~repro.core.store.ModelSnapshot.propagation_structure`); a
+    pickle drops it, so an unpickled view compiles its own.
+    """
 
-    def __init__(self, slots: Mapping[int, RTFSlot]) -> None:
+    __slots__ = ("_slots", "structure")
+
+    def __init__(
+        self,
+        slots: Mapping[int, RTFSlot],
+        structure: Optional[Callable[[int], PropagationStructure]] = None,
+    ) -> None:
         self._slots = slots
+        self.structure = structure
+
+    def __reduce__(self):
+        return _SlotView, (dict(self._slots),)
 
     def __getitem__(self, slot: int) -> RTFSlot:
         return self._slots[slot]
@@ -110,9 +127,17 @@ class RTFGSPBackend(EstimatorBackend):
         return self._engine
 
     @staticmethod
-    def snapshot_state(params: Mapping[int, RTFSlot]) -> RTFGSPState:
-        """The state over a snapshot's own slot parameters (a view, no copy)."""
-        return RTFGSPState(_SlotView(params))
+    def snapshot_state(
+        params: Mapping[int, RTFSlot],
+        structure: Optional[Callable[[int], PropagationStructure]] = None,
+    ) -> RTFGSPState:
+        """The state over a snapshot's own slot parameters (a view, no copy).
+
+        ``structure`` maps a slot to the snapshot's compiled structure of
+        those same parameters; :meth:`estimate` then reads it instead of
+        compiling one per call.
+        """
+        return RTFGSPState(_SlotView(params, structure))
 
     def _fit(self, history: SpeedHistory, slots: Sequence[int]) -> RTFGSPState:
         model, _diagnostics = fit_rtf(self._network, history, slots)
@@ -143,7 +168,14 @@ class RTFGSPBackend(EstimatorBackend):
         deadline: Optional["Deadline"],
     ) -> Tuple[np.ndarray, Mapping[str, object]]:
         params = self._params_of(state, slot)
-        result = self._engine.propagate(params, probes, self._gsp_config)
+        view = self._state_of(state).params
+        cached = view.structure if isinstance(view, _SlotView) else None
+        result = self._engine.propagate(
+            params,
+            probes,
+            self._gsp_config,
+            structure=cached(slot) if cached is not None else None,
+        )
         return result.speeds, {
             "sweeps": result.sweeps,
             "converged": result.converged,

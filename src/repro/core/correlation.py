@@ -18,13 +18,16 @@ reproduces the paper literally — the ablation bench quantifies the gap.
 The all-pairs table ``Γ_R`` is computed offline with multi-source
 Dijkstra (:func:`scipy.sparse.csgraph.dijkstra`) and cached per slot.
 Serving reads it through :class:`CorrelationRows`, which runs Dijkstra
-only from the sources a query reads (:func:`road_road_correlation_rows`).
+only from the sources a query reads (:func:`road_road_correlation_rows`)
+and answers OCS's θ-redundancy test (Eq. 15) from one radius-bounded
+search per θ.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
+from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +40,17 @@ from repro.network.graph import TrafficNetwork
 
 #: Correlations below this are treated as zero (no usable path).
 _RHO_EPS = 1e-12
+
+#: Rounding slack of the θ-redundancy test: a pair of roads is redundant
+#: (Eq. 15) when ``Γ_R[a, b] > θ + REDUNDANCY_SLACK``.
+REDUNDANCY_SLACK = 1e-12
+
+#: Distance entries one bounded Dijkstra batch may hold (``chunk · n``),
+#: so deriving a redundancy set never needs ``n²`` memory.
+_REDUNDANCY_CHUNK_ENTRIES = 1 << 21
+
+#: θ values whose redundancy set one :class:`CorrelationRows` view keeps.
+_REDUNDANCY_THETAS = 4
 
 
 class PathWeightMode(str, enum.Enum):
@@ -144,6 +158,41 @@ def _graph_rows(
     return corr
 
 
+def _redundancy_set(graph: sp.csr_matrix, theta: float) -> sp.csr_matrix:
+    """Directed road pairs ``(a, b)`` with ``Γ_R[a, b] > θ + slack`` (LOG mode).
+
+    ``exp(-d) > θ`` means a ``-log ρ`` path length ``d < -log θ``, so one
+    Dijkstra bounded by that radius from every source finds every pair,
+    and it may run on the edges of weight ``≤ -log θ`` alone: no path
+    inside the radius uses a longer edge.  Distances inside the radius
+    are the unbounded search's, bit for bit, so each pair's value — and
+    the test on it — equals the dense matrix's.  Sources run in chunks of
+    :data:`_REDUNDANCY_CHUNK_ENTRIES` distance entries.
+
+    Returns:
+        Boolean ``(n, n)`` CSR matrix whose row ``a`` holds the roads
+        redundant with ``a`` (``a`` itself too when ``1 > θ + slack``).
+    """
+    n = graph.shape[0]
+    radius = -np.log(theta)
+    near = graph.copy()
+    near.data[near.data > radius] = 0.0
+    near.eliminate_zeros()
+    rows: List[np.ndarray] = []
+    cols: List[np.ndarray] = []
+    chunk = max(1, _REDUNDANCY_CHUNK_ENTRIES // n)
+    for start in range(0, n, chunk):
+        sources = np.arange(start, min(start + chunk, n))
+        dist = dijkstra(near, directed=False, indices=sources, limit=radius).ravel()
+        # Only entries inside the radius can pass (the rest are inf).
+        flat = np.flatnonzero(dist <= radius)
+        flat = flat[np.exp(-dist[flat]) > theta + REDUNDANCY_SLACK]
+        rows.append(start + flat // n)
+        cols.append(flat % n)
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(row.size, dtype=bool), (row, col)), shape=(n, n))
+
+
 def _source_array(sources: Sequence[int], n: int) -> np.ndarray:
     idx = np.asarray(sources, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -207,12 +256,17 @@ def road_road_correlation_matrix(
 class CorrelationRows:
     """Γ_R of one slot, derived one source row at a time.
 
-    OCS reads only rows sourced at ``R^q`` and at the roads it selects,
-    so this view runs Dijkstra from those sources alone instead of all
-    ``n``.  Rows are memoized per source under the view's lock; one
-    :meth:`rows` call derives all of its missing sources in one batched
-    Dijkstra.  When ``dense`` returns the slot's full matrix, rows are
-    read from it and nothing is derived.
+    OCS reads values only from rows sourced at ``R^q``, so this view
+    runs Dijkstra from those sources alone instead of all ``n``.  Rows
+    are memoized per source under the view's lock; one :meth:`rows` call
+    derives all of its missing sources in one batched Dijkstra.  The
+    θ-redundancy test of the roads OCS selects goes through
+    :meth:`redundant`, which in ``LOG`` mode reads one redundancy set per
+    θ (the pairs with ``Γ_R > θ + REDUNDANCY_SLACK``, from one
+    radius-bounded search, memoized for the last
+    :data:`_REDUNDANCY_THETAS` θ values) instead of a row per selected
+    road.  When ``dense`` returns the slot's full matrix, rows and
+    redundancy tests are read from it and nothing is derived.
 
     Indexing answers the forms the OCS solvers use on a dense Γ_R —
     ``[np.ix_(q, c)]``, ``[road, c]``, ``[q, road]``, ``[a, b]`` — with
@@ -226,8 +280,10 @@ class CorrelationRows:
         rho: The slot's per-edge correlations.
         mode: Path-weight transform.
         dense: Returns the slot's dense Γ_R when one is at hand, else
-            ``None``; asked on every :meth:`rows` call.
+            ``None``; asked on every :meth:`rows` and :meth:`redundant`
+            call.
         on_derive: Called with the number of rows each derivation made.
+        on_redundancy: Called once per redundancy set derived.
     """
 
     def __init__(
@@ -237,6 +293,7 @@ class CorrelationRows:
         mode: PathWeightMode = PathWeightMode.LOG,
         dense: Optional[Callable[[], Optional[np.ndarray]]] = None,
         on_derive: Optional[Callable[[int], None]] = None,
+        on_redundancy: Optional[Callable[[], None]] = None,
     ) -> None:
         n = network.n_roads
         self.shape: Tuple[int, int] = (n, n)
@@ -250,7 +307,9 @@ class CorrelationRows:
         ] = None
         self._dense = dense
         self._on_derive = on_derive
+        self._on_redundancy = on_redundancy
         self._rows: Dict[int, np.ndarray] = {}
+        self._redundancy: "OrderedDict[float, sp.csr_matrix]" = OrderedDict()
         self._lock = threading.Lock()
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
@@ -263,14 +322,64 @@ class CorrelationRows:
             return np.zeros((0, self.shape[1]))
         return np.stack(self._memo_rows(idx.tolist()))
 
+    def redundant(self, source: int, targets, theta: float) -> np.ndarray:
+        """Eq. 15's redundancy test: ``Γ_R[source, targets] > θ + slack``.
+
+        Boolean array shaped like ``targets``, equal to the test on the
+        dense matrix.  ``LOG`` mode reads the memoized redundancy set of
+        ``θ``, derived on first use (single-flight under the view's
+        lock).  ``RECIPROCAL`` mode has no radius bound, so it tests the
+        memoized row sourced at ``source``.
+
+        Raises:
+            IndexError: When ``source`` is not a road.
+            ModelError: When ``theta`` is outside ``(0, 1]``.
+        """
+        if not 0 <= source < self.shape[0]:
+            raise IndexError(f"source road {source} outside [0, {self.shape[0]})")
+        if not 0.0 < theta <= 1.0:
+            raise ModelError(f"theta must be in (0, 1], got {theta}")
+        dense = self._dense_matrix()
+        if dense is not None:
+            return dense[source, targets] > theta + REDUNDANCY_SLACK
+        if self._mode is not PathWeightMode.LOG:
+            return self[source, targets] > theta + REDUNDANCY_SLACK
+        pairs = self._memo_redundancy(float(theta))
+        mask = np.zeros(self.shape[1], dtype=bool)
+        mask[pairs.indices[pairs.indptr[source]:pairs.indptr[source + 1]]] = True
+        return mask[targets]
+
+    def _memo_redundancy(self, theta: float) -> sp.csr_matrix:
+        """The memoized redundancy set of ``theta``, deriving it on a miss."""
+        with self._lock:
+            pairs = self._redundancy.get(theta)
+            if pairs is None:
+                pairs = _redundancy_set(self._path_graph()[0], theta)
+                self._redundancy[theta] = pairs
+                if len(self._redundancy) > _REDUNDANCY_THETAS:
+                    self._redundancy.popitem(last=False)
+                if self._on_redundancy is not None:
+                    self._on_redundancy()
+            else:
+                self._redundancy.move_to_end(theta)
+            return pairs
+
+    def _path_graph(
+        self,
+    ) -> Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]:
+        """The slot's search graph, built on first use (caller holds the lock)."""
+        if self._graph is None:
+            self._graph = _path_graph(self._network, self._rho, self._mode)
+        return self._graph
+
     def _memo_rows(self, order: List[int]) -> List[np.ndarray]:
         """The memoized rows of ``order``, deriving the missing ones."""
         with self._lock:
             missing = [s for s in dict.fromkeys(order) if s not in self._rows]
             if missing:
-                if self._graph is None:
-                    self._graph = _path_graph(self._network, self._rho, self._mode)
-                derived = _graph_rows(*self._graph, np.array(missing, dtype=np.intp))
+                derived = _graph_rows(
+                    *self._path_graph(), np.array(missing, dtype=np.intp)
+                )
                 self._rows.update(zip(missing, derived))
                 if self._on_derive is not None:
                     self._on_derive(len(missing))

@@ -123,8 +123,7 @@ class _CoverState:
         others = [r for r in self.sel if r != exclude]
         if not others:
             return True
-        row = self.instance.corr[road, np.asarray(others, dtype=int)]
-        return bool(np.all(row <= self.instance.theta + 1e-12))
+        return not self.instance.redundant(road, others).any()
 
 
 def local_search(

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core.correlation import REDUNDANCY_SLACK
 from repro.errors import BudgetError, SelectionError
 from repro.obs import DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, get_metrics
 
@@ -58,9 +58,10 @@ class OCSInstance:
         theta: Redundancy threshold ``θ`` in ``(0, 1]``.
         corr: Correlations ``Γ_R`` of the query slot, row/col indexed by
             road: the dense ``(n, n)`` matrix or a row-on-demand
-            :class:`~repro.core.correlation.CorrelationRows` view (the
-            solvers read it only through the index forms the view
-            answers).
+            :class:`~repro.core.correlation.CorrelationRows` view.  The
+            solvers read values only from rows sourced at ``R^q``, through
+            the index forms the view answers, and every θ-redundancy
+            test through :meth:`redundant`.
         sigma: Periodicity intensities ``sigma_i^t`` per road.
     """
 
@@ -115,6 +116,17 @@ class OCSInstance:
         best = self.corr[np.ix_(q, np.asarray(selection, dtype=int))].max(axis=1)
         return float(np.dot(self.sigma[q], best))
 
+    def redundant(self, road: int, roads: Sequence[int]) -> np.ndarray:
+        """Eq. 15's redundancy test of ``road`` against each of ``roads``.
+
+        ``Γ_R[road, r] > θ + REDUNDANCY_SLACK`` per ``r``, as a boolean
+        array: thresholded dense rows for a dense Γ_R, else the view's
+        :meth:`~repro.core.correlation.CorrelationRows.redundant`.
+        """
+        if isinstance(self.corr, np.ndarray):
+            return self.corr[road, roads] > self.theta + REDUNDANCY_SLACK
+        return self.corr.redundant(road, roads, self.theta)
+
     def selection_cost(self, selection: Sequence[int]) -> float:
         """Total cost of a selection (roads must be candidates)."""
         cost_by_road = {road: float(c) for road, c in zip(self.candidates, self.costs)}
@@ -132,8 +144,9 @@ class OCSInstance:
             return False
         if self.selection_cost(selection) > self.budget + 1e-9:
             return False
-        for a, b in combinations(selection, 2):
-            if self.corr[a, b] > self.theta + 1e-12:
+        # Each pair once, tested from its earlier road.
+        for k, road in enumerate(selection[:-1]):
+            if self.redundant(road, selection[k + 1:]).any():
                 return False
         return True
 
@@ -190,6 +203,7 @@ class _GreedyState:
         self.available = np.ones(len(self.c), dtype=bool)
         self.remaining = float(instance.budget)
         self.selected: List[int] = []
+        self.selected_costs: List[float] = []
         self.iterations = 0
         self._gains: Optional[np.ndarray] = None
         # Telemetry tallies, flushed once per solve (see
@@ -219,8 +233,10 @@ class _GreedyState:
     def take(self, candidate_pos: int) -> None:
         """Commit candidate at position ``candidate_pos`` into R^c."""
         road = int(self.c[candidate_pos])
+        cost = float(self.costs[candidate_pos])
         self.selected.append(road)
-        self.remaining -= float(self.costs[candidate_pos])
+        self.selected_costs.append(cost)
+        self.remaining -= cost
         new_col = self.corr_qc[:, candidate_pos]
         if self.incremental and self._gains is not None:
             touched = new_col > self.best
@@ -235,7 +251,7 @@ class _GreedyState:
         self.best = np.maximum(self.best, new_col)
         self.available[candidate_pos] = False
         # Redundancy: drop candidates too correlated with the new road.
-        too_close = self.instance.corr[road, self.c] > self.instance.theta + 1e-12
+        too_close = self.instance.redundant(road, self.c)
         self.pruned += int(np.count_nonzero(self.available & too_close))
         self.available &= ~too_close
         self.iterations += 1
@@ -307,7 +323,7 @@ def _run_greedy(
     result = OCSResult(
         selected=tuple(state.selected),
         objective=instance.objective(state.selected),
-        cost=instance.selection_cost(state.selected),
+        cost=sum(state.selected_costs),
         iterations=state.iterations,
         runtime_seconds=runtime,
         algorithm=name,
@@ -381,7 +397,7 @@ def random_selection(
     result = OCSResult(
         selected=tuple(state.selected),
         objective=instance.objective(state.selected),
-        cost=instance.selection_cost(state.selected),
+        cost=sum(state.selected_costs),
         iterations=state.iterations,
         runtime_seconds=runtime,
         algorithm="random",
@@ -421,9 +437,7 @@ def brute_force_ocs(instance: OCSInstance) -> OCSResult:
             road = candidates[nxt]
             if spent + costs[nxt] > instance.budget + 1e-9:
                 continue
-            if any(
-                instance.corr[road, prev] > instance.theta + 1e-12 for prev in chosen
-            ):
+            if instance.redundant(road, chosen).any():
                 continue
             chosen.append(road)
             recurse(nxt + 1, chosen, spent + float(costs[nxt]))

@@ -96,6 +96,9 @@ class StoreStats:
     #: Γ_R source rows derived by :class:`CorrelationRows` views (one
     #: per source road, however many rows one Dijkstra batch held).
     correlation_row_derivations: int = 0
+    #: θ-redundancy sets derived by :class:`CorrelationRows` views (one
+    #: per slot digest and θ while the view keeps it).
+    redundancy_derivations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (for logs and tests)."""
@@ -111,6 +114,7 @@ class StoreStats:
             "backend_derivations": self.backend_derivations,
             "backend_hits": self.backend_hits,
             "correlation_row_derivations": self.correlation_row_derivations,
+            "redundancy_derivations": self.redundancy_derivations,
         }
 
 
@@ -202,12 +206,23 @@ class _ArtifactCache:
         if metrics.enabled:
             metrics.counter("store.correlation_row_derivations").inc(rows)
 
+    def count_redundancy(self) -> None:
+        """Tally one θ-redundancy set a :class:`CorrelationRows` view derived."""
+        with self._lock:
+            self._record_redundancy()
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("store.redundancy_derivations").inc()
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def _record_rows(self, rows: int) -> None:
         self._stats.correlation_row_derivations += rows
+
+    def _record_redundancy(self) -> None:
+        self._stats.redundancy_derivations += 1
 
     def _record_lookup(self, metrics, kind: str, hit: bool) -> None:
         if kind == _KIND_CORRELATION:
@@ -416,9 +431,12 @@ class ModelSnapshot:
         """Γ_R of one slot as a row-on-demand view (what OCS reads).
 
         The view is cached per slot digest like :meth:`correlation_matrix`
-        and derives only the source rows it is asked for, each once.
-        While the dense matrix of the same digest is cached, rows are
-        read from it instead, so a warmed slot derives nothing.
+        and derives only the source rows it is asked for, each once, and
+        one θ-redundancy set per θ it is tested at (the view keeps a few
+        θ); a publish that supersedes the digest drops all of it.  While
+        the dense matrix of the same digest is cached, rows and
+        redundancy tests are read from it instead, so a warmed slot
+        derives nothing.
         """
         params = self.slot(slot)
         digest = self.digest(slot)
@@ -432,6 +450,7 @@ class ModelSnapshot:
                 self._path_mode,
                 dense=lambda: artifacts.peek(_KIND_CORRELATION, digest),
                 on_derive=artifacts.count_rows,
+                on_redundancy=artifacts.count_redundancy,
             ),
         )
 
@@ -568,10 +587,7 @@ class ModelStore:
         digest_map = {
             t: given.get(t) or params_signature(p) for t, p in params.items()
         }
-        self._current = ModelSnapshot(
-            1, self._network, params, digest_map, path_mode, self._artifacts,
-            backend_states={self._native.name: self._native.snapshot_state(params)},
-        )
+        self._current = self._new_snapshot(1, params, digest_map, {})
         self._count_publish(len(params))
 
     @classmethod
@@ -707,20 +723,13 @@ class ModelStore:
                     digests[slot_params.slot] = new_digest
                     if old_digest is not None and old_digest != new_digest:
                         stale_digests.append(old_digest)
-                states = dict(
-                    previous._backend_states
-                    if backend_states is None
-                    else backend_states
-                )
-                states[self._native.name] = self._native.snapshot_state(params)
-                snapshot = ModelSnapshot(
+                snapshot = self._new_snapshot(
                     previous.version + 1,
-                    self._network,
                     params,
                     digests,
-                    self._path_mode,
-                    self._artifacts,
-                    backend_states=states,
+                    previous._backend_states
+                    if backend_states is None
+                    else backend_states,
                 )
                 self._current = snapshot
                 # Same atomic publish: a refreshed slot's warm-start seed
@@ -737,6 +746,30 @@ class ModelStore:
                         self._artifacts.drop(kind, stale)
             span.set_attr("version", snapshot.version)
         self._count_publish(len(replacements))
+        return snapshot
+
+    def _new_snapshot(
+        self,
+        version: int,
+        params: Dict[int, RTFSlot],
+        digests: Dict[int, bytes],
+        backend_states: Mapping[str, object],
+    ) -> ModelSnapshot:
+        """A version whose built-in backend state views its own slots.
+
+        The state also reaches the snapshot's compiled propagation
+        structures, so a direct :meth:`RTFGSPBackend.estimate` on it
+        compiles nothing the snapshot has already compiled.  (That makes
+        a reference cycle, snapshot → state → snapshot, which the cyclic
+        garbage collector frees.)
+        """
+        snapshot = ModelSnapshot(
+            version, self._network, params, digests, self._path_mode,
+            self._artifacts, backend_states=backend_states,
+        )
+        snapshot._backend_states[self._native.name] = self._native.snapshot_state(
+            params, snapshot.propagation_structure
+        )
         return snapshot
 
     def refresh(

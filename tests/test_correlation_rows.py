@@ -1,8 +1,9 @@
 """Row-on-demand Γ_R: ``road_road_correlation_rows`` and ``CorrelationRows``.
 
-OCS reads only the Γ_R rows sourced at ``R^q`` and at the roads it
-selects.  Serving derives just those rows, so everything here pins the
-row path to the dense matrix *bitwise*: the rows themselves, the index
+OCS reads Γ_R values only from the rows sourced at ``R^q`` (its
+θ-redundancy tests go through the sets of ``tests/test_redundancy.py``).
+Serving derives just those rows, so everything here pins the row path
+to the dense matrix *bitwise*: the rows themselves, the index
 forms the solvers use (values and memory layout), every solver's
 selection, and a whole ``answer_query`` after a publish.
 """

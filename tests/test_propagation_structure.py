@@ -11,11 +11,15 @@ engine.  These tests pin the three promises that makes:
   written with its propagation arrays serves every slot without calling
   ``RTFSlot.propagation_arrays``;
 * **identical answers** — what the loaded store serves equals, bit for
-  bit, what a freshly fitted, never persisted system serves.
+  bit, what a freshly fitted, never persisted system serves;
+* **bare-state estimates** — a direct ``rtf_gsp`` estimate on a
+  snapshot's own state reads that snapshot's structure, and an unpickled
+  state compiles its own.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 
@@ -23,7 +27,9 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.gsp as gsp_module
 import repro.core.store as store_module
+from repro.core.gsp import GSPEngine
 from repro.core.rtf import RTFSlot
 from repro.core.snapshot_io import load_store, write_snapshot
 from repro.core.store import ModelStore
@@ -161,3 +167,50 @@ class TestLoadedStore:
             served.result.full_field_kmh, direct.full_field_kmh
         )
         assert served.result.gsp.provenance.structure_cache_hit
+
+
+class TestBareStateEstimate:
+    def _world(self, fitted, data, monkeypatch):
+        system = repro.CrowdRTSE(data.network, store=ModelStore(fitted.model))
+        probes = _answer(system, data, data.slot).probes
+        engine_compiles = []
+        real = gsp_module.build_propagation_structure
+
+        def counting(network, arrays):
+            engine_compiles.append(1)
+            return real(network, arrays)
+
+        monkeypatch.setattr(gsp_module, "build_propagation_structure", counting)
+        return system, probes, engine_compiles
+
+    def test_repeated_estimates_reuse_the_snapshot_structure(
+        self, fitted, tiny_dataset, monkeypatch
+    ):
+        data = tiny_dataset
+        system, probes, engine_compiles = self._world(fitted, data, monkeypatch)
+        stats = system.store.stats
+        compiled = stats.propagation_derivations
+        first = system.estimate_with_backend("rtf_gsp", probes, data.slot)
+        for _ in range(3):
+            again = system.estimate_with_backend("rtf_gsp", probes, data.slot)
+            np.testing.assert_array_equal(again.speeds, first.speeds)
+        assert engine_compiles == []
+        assert stats.propagation_derivations == compiled
+        snapshot = system.store.current()
+        cold = GSPEngine(data.network).propagate(snapshot.slot(data.slot), probes)
+        np.testing.assert_array_equal(first.speeds, cold.speeds)
+
+    def test_unpickled_state_compiles_its_own(
+        self, fitted, tiny_dataset, monkeypatch
+    ):
+        data = tiny_dataset
+        system, probes, engine_compiles = self._world(fitted, data, monkeypatch)
+        snapshot = system.store.current()
+        state = snapshot.backend_state("rtf_gsp")
+        revived = pickle.loads(pickle.dumps(state))
+        backend = system.store.backend_instance("rtf_gsp")
+        direct = backend.estimate(state, probes, data.slot)
+        assert engine_compiles == []
+        from_pickle = backend.estimate(revived, probes, data.slot)
+        assert engine_compiles == [1]
+        np.testing.assert_array_equal(from_pickle.speeds, direct.speeds)
