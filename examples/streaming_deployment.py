@@ -7,7 +7,7 @@ The most realistic scenario this library supports in one loop:
 * the RTF model is refreshed after each day with exponential forgetting
   (`OnlineRTFUpdater`), tracking drift without refitting;
 * concurrent queries in a slot are pooled into one crowdsourcing round
-  (`answer_batch`);
+  (one `EstimationRequest` over the union of their roads);
 * the terminal dashboard renders the congestion strip and solver
   sparklines (`repro.viz`).
 
@@ -17,7 +17,6 @@ Run:  python examples/streaming_deployment.py
 import numpy as np
 
 import repro
-from repro.core.batch import answer_batch
 from repro.core.online_update import OnlineRTFUpdater
 from repro.crowd.mobility import MobilityModel
 from repro.experiments.workloads import QueryPattern, query_stream
@@ -61,18 +60,23 @@ for day in range(data.test_history.n_days):
         query_stream(data.network, QueryPattern.CORRIDOR, 10, 1, seed=day + 50)[0],
         query_stream(data.network, QueryPattern.UNIFORM, 10, 1, seed=day + 99)[0],
     ]
-    batch = answer_batch(
-        system, queries, data.slot, budget=30, market=market, truth=truth,
+    union = sorted({int(road) for query in queries for road in query})
+    shared = system.answer_query(
+        repro.EstimationRequest(
+            queried=union, slot=data.slot, budget=30, warm_start=False
+        ),
+        market=market,
+        truth=truth,
     )
 
     all_truths = np.array([truth(r) for r in range(data.n_roads)])
     mape = repro.mean_absolute_percentage_error(
-        batch.shared.full_field_kmh, all_truths
+        shared.full_field_kmh, all_truths
     )
-    strip = congestion_strip(batch.shared.full_field_kmh, free_flow, width=60)
-    spark = convergence_sparkline(batch.shared.gsp.max_delta_history)
+    strip = congestion_strip(shared.full_field_kmh, free_flow, width=60)
+    spark = convergence_sparkline(shared.gsp.max_delta_history)
     print(f"day {day}: |R^w|={len(market.candidate_roads())} "
-          f"probes={len(batch.shared.probes)} spend={batch.budget_spent} "
+          f"probes={len(shared.probes)} spend={shared.budget_spent} "
           f"full-field MAPE={mape:.3f}")
     print(f"  congestion |{strip}|")
     print(f"  gsp deltas {spark}")

@@ -59,7 +59,6 @@ from repro.core.uncertainty import (
     most_uncertain_roads,
 )
 from repro.core.online_update import OnlineRTFUpdater, refresh_model, refresh_slots
-from repro.core.batch import BatchResult, answer_batch, sequential_baseline
 from repro.core.local_search import greedy_plus_local_search, local_search
 from repro.core.store import (
     ModelSnapshot,
@@ -135,9 +134,6 @@ __all__ = [
     "verify_digests",
     "write_snapshot",
     "EstimationRequest",
-    "BatchResult",
-    "answer_batch",
-    "sequential_baseline",
     "greedy_plus_local_search",
     "local_search",
     "CrowdRTSE",

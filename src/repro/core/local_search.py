@@ -9,13 +9,10 @@ the result upper-bounds how much any small perturbation could gain —
 the gap it closes over Hybrid-Greedy is an empirical measure of the
 greedy's slack.
 
-The default *incremental* mode evaluates each trial move from a cached
-per-queried-road coverage state (best and second-best correlation over
-the current selection) instead of re-scoring the whole selection with
-``instance.objective`` — ``O(|R^q|)`` per trial instead of
-``O(|R^q| · |R^c|)``.  The trial values are the same maxima the full
-rescore computes, reduced by the same ``np.dot``, so move decisions are
-bit-identical to the oracle (``incremental=False``).
+Each trial move is scored from a cached per-queried-road coverage
+state (best and second-best correlation over the current selection)
+instead of re-scoring the whole selection with ``instance.objective`` —
+``O(|R^q|)`` per trial instead of ``O(|R^q| · |R^c|)``.
 """
 
 from __future__ import annotations
@@ -28,22 +25,6 @@ import numpy as np
 from repro.core.ocs import OCSInstance, OCSResult
 from repro.errors import SelectionError
 from repro.obs import DEFAULT_ITERATION_BUCKETS, get_metrics, get_tracer
-
-
-def _is_feasible_swap(
-    instance: OCSInstance,
-    selected: Set[int],
-    remove: Optional[int],
-    add: Optional[int],
-) -> bool:
-    trial = set(selected)
-    if remove is not None:
-        trial.discard(remove)
-    if add is not None:
-        if add in trial:
-            return False
-        trial.add(add)
-    return instance.is_feasible(sorted(trial))
 
 
 class _CoverState:
@@ -130,8 +111,6 @@ def local_search(
     instance: OCSInstance,
     initial: Sequence[int] = (),
     max_rounds: int = 200,
-    *,
-    incremental: bool = True,
 ) -> OCSResult:
     """Best-improvement local search over add / drop / swap moves.
 
@@ -140,11 +119,6 @@ def local_search(
         initial: Feasible starting selection (e.g. Hybrid-Greedy's
             output); empty to start from scratch.
         max_rounds: Cap on improving rounds.
-        incremental: Evaluate trial moves from the cached coverage state
-            (default).  ``False`` re-scores every trial with
-            ``instance.objective`` — the slow oracle the incremental
-            mode is differential-tested against; both modes apply the
-            same move sequence.
 
     Returns:
         An :class:`OCSResult` at a local optimum (no single add, drop or
@@ -160,9 +134,8 @@ def local_search(
     selected: Set[int] = {int(r) for r in initial}
     candidates = list(instance.candidates)
     best_objective = instance.objective(sorted(selected))
-    cover = _CoverState(instance) if incremental else None
-    if cover is not None:
-        cover.rebuild(selected)
+    cover = _CoverState(instance)
+    cover.rebuild(selected)
     rounds = 0
     objective_evaluations = 1
     moves_applied = {"add": 0, "swap": 0}
@@ -174,33 +147,20 @@ def local_search(
         for road in candidates:
             if road in selected:
                 continue
-            if cover is not None:
-                if not cover.feasible_add(road):
-                    continue
-                trial = cover.add_objective(road)
-            else:
-                if not _is_feasible_swap(instance, selected, None, road):
-                    continue
-                trial = instance.objective(sorted(selected | {road}))
-            gain = trial - best_objective
+            if not cover.feasible_add(road):
+                continue
+            gain = cover.add_objective(road) - best_objective
             objective_evaluations += 1
             if gain > best_gain:
                 best_gain, best_move = gain, (None, road)
         # Swaps (drop one, add one).
         for out in list(selected):
-            without = selected - {out}
             for road in candidates:
                 if road in selected:
                     continue
-                if cover is not None:
-                    if not cover.feasible_swap(out, road):
-                        continue
-                    trial = cover.swap_objective(out, road)
-                else:
-                    if not _is_feasible_swap(instance, without, None, road):
-                        continue
-                    trial = instance.objective(sorted(without | {road}))
-                gain = trial - best_objective
+                if not cover.feasible_swap(out, road):
+                    continue
+                gain = cover.swap_objective(out, road) - best_objective
                 objective_evaluations += 1
                 if gain > best_gain:
                     best_gain, best_move = gain, (out, road)
@@ -212,8 +172,7 @@ def local_search(
             selected.discard(out)
         if into is not None:
             selected.add(into)
-        if cover is not None:
-            cover.rebuild(selected)
+        cover.rebuild(selected)
         kind = "add" if out is None else "swap"
         moves_applied[kind] += 1
         tracer.event(

@@ -23,6 +23,11 @@ Solvers:
 * :func:`brute_force_ocs` — exact optimum by exhaustive search; only
   for small instances, used to measure empirical approximation ratios.
 * :func:`trivial_solution` — the two closed-form cases of Remark 2.
+
+The greedy solvers score every round with one full rescan of the
+marginal gains, so each pick (ties to the first candidate) is the
+paper's rule; ``tests/test_paper_fidelity.py`` checks that the quick
+report's figures still come out byte for byte.
 """
 
 from __future__ import annotations
@@ -179,52 +184,43 @@ class _GreedyState:
 
     Tracks, for every candidate, whether it is still feasible, and for
     every queried road the best correlation achieved by the current
-    selection.  In the default *incremental* mode the per-candidate
-    marginal gains are materialized once and then delta-updated on every
-    pick: committing a candidate can only change a queried road's
-    contribution where the new road's correlation beats the previous
-    best, so only those touched rows are re-accumulated —
-    ``O(|T| · |R^w|)`` instead of the ``O(|R^q| · |R^w|)`` full rescan
-    per round.  Untouched rows contribute an exact-zero delta, so the
-    incremental gains match the rescan bit-for-bit on exactly
-    representable inputs and ties break identically.
+    selection.  Every round rescans the whole ``(|R^q|, |R^w|)`` block
+    for the marginal gains of Eq. 13, ``sigma_q @ max(corr_qc - best, 0)``,
+    so the argmax and its first-index tie-break are the paper's rule
+    exactly; the rescan writes into one buffer allocated per solve.
     """
 
-    def __init__(self, instance: OCSInstance, *, incremental: bool = True) -> None:
+    def __init__(self, instance: OCSInstance) -> None:
         self.instance = instance
-        self.incremental = incremental
         self.q = np.asarray(instance.queried, dtype=int)
         self.c = np.asarray(instance.candidates, dtype=int)
         self.costs = np.asarray(instance.costs, dtype=np.float64)
         self.sigma_q = instance.sigma[self.q]
         # (|q|, |c|) correlation block, computed once.
         self.corr_qc = instance.corr[np.ix_(self.q, self.c)]
+        self._improvement = np.empty_like(self.corr_qc)
         self.best = np.zeros(len(self.q))
         self.available = np.ones(len(self.c), dtype=bool)
         self.remaining = float(instance.budget)
         self.selected: List[int] = []
         self.selected_costs: List[float] = []
         self.iterations = 0
-        self._gains: Optional[np.ndarray] = None
         # Telemetry tallies, flushed once per solve (see
         # ``_flush_solver_metrics``): how many per-candidate marginal
-        # gains were evaluated, how many candidates the θ-redundancy
-        # bound pruned from R^w, and how much work the incremental mode
-        # actually did (delta passes and queried rows touched by them).
+        # gains were evaluated and how many candidates the θ-redundancy
+        # bound pruned from R^w.
         self.gain_calls = 0
         self.candidate_evaluations = 0
         self.pruned = 0
-        self.delta_updates = 0
-        self.touched_rows = 0
 
     def gains(self) -> np.ndarray:
         """Objective increment of adding each candidate (vector |c|)."""
         self.gain_calls += 1
-        if self._gains is None or not self.incremental:
-            self.candidate_evaluations += self.c.size
-            improvement = np.clip(self.corr_qc - self.best[:, None], 0.0, None)
-            self._gains = self.sigma_q @ improvement
-        return self._gains
+        self.candidate_evaluations += self.c.size
+        buf = self._improvement
+        np.subtract(self.corr_qc, self.best[:, None], out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        return self.sigma_q @ buf
 
     def feasible_mask(self) -> np.ndarray:
         """Candidates that fit the remaining budget and redundancy bound."""
@@ -237,18 +233,7 @@ class _GreedyState:
         self.selected.append(road)
         self.selected_costs.append(cost)
         self.remaining -= cost
-        new_col = self.corr_qc[:, candidate_pos]
-        if self.incremental and self._gains is not None:
-            touched = new_col > self.best
-            n_touched = int(np.count_nonzero(touched))
-            if n_touched:
-                block = self.corr_qc[touched]
-                old_clip = np.clip(block - self.best[touched, None], 0.0, None)
-                new_clip = np.clip(block - new_col[touched, None], 0.0, None)
-                self._gains = self._gains + self.sigma_q[touched] @ (new_clip - old_clip)
-                self.delta_updates += 1
-                self.touched_rows += n_touched
-        self.best = np.maximum(self.best, new_col)
+        self.best = np.maximum(self.best, self.corr_qc[:, candidate_pos])
         self.available[candidate_pos] = False
         # Redundancy: drop candidates too correlated with the new road.
         too_close = self.instance.redundant(road, self.c)
@@ -292,22 +277,15 @@ def _flush_solver_metrics(
         metrics.gauge("ocs.pruning_rate", labels).set(
             state.pruned / instance.n_candidates
         )
-        if state.delta_updates:
-            metrics.counter("ocs.incremental.updates", labels).inc(state.delta_updates)
-            metrics.histogram(
-                "ocs.incremental.touched_rows", DEFAULT_SIZE_BUCKETS, labels
-            ).observe(state.touched_rows)
 
 
 def _run_greedy(
     instance: OCSInstance,
     score: Callable[[_GreedyState, np.ndarray, np.ndarray], np.ndarray],
     name: str,
-    *,
-    incremental: bool = True,
 ) -> OCSResult:
     start = time.perf_counter()
-    state = _GreedyState(instance, incremental=incremental)
+    state = _GreedyState(instance)
     while True:
         mask = state.feasible_mask()
         if not mask.any():
@@ -332,39 +310,26 @@ def _run_greedy(
     return result
 
 
-def ratio_greedy(instance: OCSInstance, *, incremental: bool = True) -> OCSResult:
-    """Alg. 2: maximize objective-gain / cost each round.
-
-    ``incremental=False`` forces the full-rescan gain evaluation each
-    round — the oracle the incremental mode is differential-tested
-    against.
-    """
+def ratio_greedy(instance: OCSInstance) -> OCSResult:
+    """Alg. 2: maximize objective-gain / cost each round."""
     return _run_greedy(
-        instance,
-        lambda state, gains, mask: gains / state.costs,
-        "ratio-greedy",
-        incremental=incremental,
+        instance, lambda state, gains, mask: gains / state.costs, "ratio-greedy"
     )
 
 
-def objective_greedy(instance: OCSInstance, *, incremental: bool = True) -> OCSResult:
+def objective_greedy(instance: OCSInstance) -> OCSResult:
     """Alg. 3: maximize the raw objective gain each round."""
-    return _run_greedy(
-        instance,
-        lambda state, gains, mask: gains,
-        "objective-greedy",
-        incremental=incremental,
-    )
+    return _run_greedy(instance, lambda state, gains, mask: gains, "objective-greedy")
 
 
-def hybrid_greedy(instance: OCSInstance, *, incremental: bool = True) -> OCSResult:
+def hybrid_greedy(instance: OCSInstance) -> OCSResult:
     """Alg. 4: run both greedies, keep the better objective.
 
     Achieves the ``(1 - 1/e)/2`` approximation ratio of Theorem 2.
     """
     start = time.perf_counter()
-    ratio = ratio_greedy(instance, incremental=incremental)
-    objective = objective_greedy(instance, incremental=incremental)
+    ratio = ratio_greedy(instance)
+    objective = objective_greedy(instance)
     winner = ratio if ratio.objective >= objective.objective else objective
     runtime = time.perf_counter() - start
     result = OCSResult(

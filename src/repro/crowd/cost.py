@@ -52,7 +52,11 @@ class CostModel:
 
     def costs_of(self, road_indices: Sequence[int]) -> np.ndarray:
         """Costs of several roads, order-preserving."""
-        return np.array([self.cost_of(int(r)) for r in road_indices], dtype=np.int64)
+        idx = np.asarray(road_indices, dtype=np.int64)
+        outside = (idx < 0) | (idx >= self._network.n_roads)
+        if outside.any():
+            raise BudgetError(f"road index {int(idx[outside][0])} outside the network")
+        return self._costs[idx]
 
     def total(self, road_indices: Sequence[int]) -> int:
         """Total cost of a selection."""

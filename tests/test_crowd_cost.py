@@ -32,6 +32,25 @@ class TestCostModel:
         model = CostModel(line_net, [1, 2, 3, 4, 5, 6])
         assert list(model.costs_of([5, 0])) == [6, 1]
 
+    @pytest.mark.parametrize("roads", [[0, -1], [6], [2, 7, 1]])
+    def test_costs_of_out_of_range(self, line_net, roads):
+        model = CostModel(line_net, [1, 2, 3, 4, 5, 6])
+        with pytest.raises(BudgetError):
+            model.costs_of(roads)
+
+    def test_costs_of_empty(self, line_net):
+        out = CostModel(line_net, [1] * 6).costs_of([])
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_costs_of_matches_cost_of(self, grid_net):
+        model = uniform_random_costs(grid_net, seed=3)
+        roads = np.random.default_rng(4).integers(0, grid_net.n_roads, 50)
+        out = model.costs_of(roads)
+        assert out.dtype == np.int64
+        assert out.tolist() == [model.cost_of(int(r)) for r in roads]
+        out[0] += 1  # a copy: the model's costs stay untouched
+        assert model.cost_of(int(roads[0])) == out[0] - 1
+
     def test_total(self, line_net):
         model = CostModel(line_net, [1, 2, 3, 4, 5, 6])
         assert model.total([0, 1, 2]) == 6
