@@ -5,7 +5,8 @@ The most realistic scenario this library supports in one loop:
 * workers random-walk the network between slots (`MobilityModel`), so
   the candidate set R^w changes every query;
 * the RTF model is refreshed after each day with exponential forgetting
-  (`OnlineRTFUpdater`), tracking drift without refitting;
+  (`OnlineRTFUpdater`), tracking drift without refitting, and published
+  to the system's model store as a new version (`ModelStore.publish`);
 * concurrent queries in a slot are pooled into one crowdsourcing round
   (one `EstimationRequest` over the union of their roads);
 * the terminal dashboard renders the congestion strip and solver
@@ -81,15 +82,11 @@ for day in range(data.test_history.n_days):
     print(f"  congestion |{strip}|")
     print(f"  gsp deltas {spark}")
 
-    # End of day: absorb today's observations into the model.
+    # End of day: absorb today's observations and publish them as the
+    # store's next version; tomorrow's queries read it.
     refreshed = updater.update(all_truths)
-    table = repro.CorrelationTable.precompute(
-        repro.RTFModel(data.network, [refreshed])
-    )
-    system = repro.CrowdRTSE(
-        data.network, repro.RTFModel(data.network, [refreshed]), table
-    )
+    system.store.publish([refreshed])
 
 print("\nmodel refreshed after each day; final sigma mean "
       f"{updater.current().sigma.mean():.2f} km/h over "
-      f"{updater.n_updates} updates")
+      f"{updater.n_updates} updates; store version {system.store.version}")

@@ -2,7 +2,7 @@
 
 * :mod:`repro.core.rtf` — the Realtime Traffic-speed Field (GMRF).
 * :mod:`repro.core.inference` — offline parameter inference (Alg. 1).
-* :mod:`repro.core.correlation` — road/set correlations (Eq. 7–13).
+* :mod:`repro.core.correlation` — road–road correlation Γ_R (Eq. 7–10).
 * :mod:`repro.core.ocs` — Optimal Crowdsourced-road Selection (Alg. 2–4).
 * :mod:`repro.core.gsp` — Graph-based Speed Propagation (Alg. 5).
 * :mod:`repro.core.pipeline` — the offline/online facade (Fig. 1).
@@ -18,8 +18,6 @@ from repro.core.inference import (
 )
 from repro.core.correlation import (
     CorrelationRows,
-    CorrelationTable,
-    PathWeightMode,
     road_road_correlation_matrix,
     road_road_correlation_rows,
 )
@@ -63,7 +61,6 @@ from repro.core.local_search import greedy_plus_local_search, local_search
 from repro.core.store import (
     ModelSnapshot,
     ModelStore,
-    SnapshotCorrelations,
     StoreStats,
 )
 from repro.core.snapshot_io import (
@@ -88,8 +85,6 @@ __all__ = [
     "fit_rtf",
     "infer_slot_parameters",
     "CorrelationRows",
-    "CorrelationTable",
-    "PathWeightMode",
     "road_road_correlation_matrix",
     "road_road_correlation_rows",
     "OCSInstance",
@@ -125,7 +120,6 @@ __all__ = [
     "refresh_slots",
     "ModelSnapshot",
     "ModelStore",
-    "SnapshotCorrelations",
     "StoreStats",
     "SnapshotFile",
     "load_model",

@@ -1,41 +1,39 @@
-"""Road correlations (paper §V-A, Eq. 7–13).
+"""Road–road correlation Γ_R (paper §V-A, Eq. 7–10).
 
-* road–road, adjacent: the RTF edge weight ``rho_ij`` (Eq. 7);
-* road–road, non-adjacent: the maximal cumulative product of edge
-  weights along any joining path (Eq. 8);
-* road–set: the max road–road correlation into the set (Eq. 11);
-* set–set: the sum of road–set correlations over the queried roads
-  (Eq. 12);
-* periodicity-weighted: Eq. 13, the OCS objective.
+* adjacent roads: the RTF edge weight ``rho_ij`` (Eq. 7);
+* non-adjacent roads: the maximal cumulative product of edge weights
+  along any joining path (Eq. 8).
+
+The road–set and set–set correlations of Eq. 11–13 are not tabled here:
+:meth:`repro.core.ocs.OCSInstance.objective` is the Eq. 13 OCS runs.
 
 Path transform.  The paper (Eq. 9) claims the product-maximizing path is
 the shortest path under reciprocal weights ``1/rho``.  That is not
 exactly true (``argmin Σ 1/rho ≠ argmax Π rho`` in general); the exact
-reduction uses weights ``-log rho``.  Both are implemented
-(:class:`PathWeightMode`); ``LOG`` is the default and ``RECIPROCAL``
-reproduces the paper literally — the ablation bench quantifies the gap.
+reduction, used here, runs Dijkstra on weights ``-log rho``.  The
+paper-literal variant lives only in the path-weight ablation
+(:mod:`repro.experiments.ablations`), which measures the gap.
 
-The all-pairs table ``Γ_R`` is computed offline with multi-source
-Dijkstra (:func:`scipy.sparse.csgraph.dijkstra`) and cached per slot.
-Serving reads it through :class:`CorrelationRows`, which runs Dijkstra
-only from the sources a query reads (:func:`road_road_correlation_rows`)
-and answers OCS's θ-redundancy test (Eq. 15) from one radius-bounded
-search per θ.
+The snapshot derives and caches Γ_R per slot digest
+(:meth:`repro.core.store.ModelSnapshot.correlation_matrix`, all pairs
+from one multi-source :func:`scipy.sparse.csgraph.dijkstra`).  Serving
+reads it through :class:`CorrelationRows`, which runs Dijkstra only from
+the sources a query reads (:func:`road_road_correlation_rows`) and
+answers OCS's θ-redundancy test (Eq. 15) from one radius-bounded search
+per θ.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import ModelError
-from repro.core.rtf import RTFModel, params_signature
 from repro.network.graph import TrafficNetwork
 
 #: Correlations below this are treated as zero (no usable path).
@@ -51,16 +49,6 @@ _REDUNDANCY_CHUNK_ENTRIES = 1 << 21
 
 #: θ values whose redundancy set one :class:`CorrelationRows` view keeps.
 _REDUNDANCY_THETAS = 4
-
-
-class PathWeightMode(str, enum.Enum):
-    """Edge-weight transform used for the path search of Eq. 8/9."""
-
-    #: Exact: weights ``-log rho``; shortest path maximizes the product.
-    LOG = "log"
-    #: Paper-literal: weights ``1/rho`` (Eq. 9); the product is then
-    #: evaluated along the path that minimizes the reciprocal sum.
-    RECIPROCAL = "reciprocal"
 
 
 def _edge_graph(
@@ -79,87 +67,47 @@ def _edge_graph(
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _path_graph(
-    network: TrafficNetwork, rho: np.ndarray, mode: PathWeightMode
-) -> Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]:
-    """Validated path-search graph of Eq. 8/9 for one slot's ``rho``.
+def _path_graph(network: TrafficNetwork, rho: np.ndarray) -> sp.csr_matrix:
+    """Validated ``-log rho`` search graph of Eq. 8 for one slot's ``rho``.
 
-    Returns the sparse graph Dijkstra runs on and, in ``RECIPROCAL``
-    mode, the per-directed-edge ``log rho`` the predecessor walk sums.
+    The shortest path on ``-log rho`` is the path of maximal ``rho``
+    product.  Edges with ``rho`` of (nearly) zero are dropped: they kill
+    any product.
+
+    Raises:
+        ModelError: When ``rho`` is misshapen or has an entry outside
+            ``[0, 1]`` (NaN included).
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (network.n_edges,):
         raise ModelError(
             f"rho must have shape ({network.n_edges},), got {rho.shape}"
         )
-    if np.any((rho < 0) | (rho > 1)):
-        raise ModelError("rho entries must lie in [0, 1]")
+    # Written so NaN fails it: every comparison with NaN is False.
+    if not np.all((rho >= 0) & (rho <= 1)):
+        raise ModelError("rho entries must be finite and lie in [0, 1]")
     usable = rho > _RHO_EPS
-    if mode is PathWeightMode.LOG:
-        # Shortest path on -log(rho) == max product of rho.  Zero-rho
-        # edges are dropped entirely (they kill any product).
-        safe = np.where(usable, rho, 1.0)
-        weights = -np.log(safe)
-        # scipy treats 0-weight entries as absent in sparse graphs, so
-        # nudge exact rho == 1 edges to a tiny positive weight.
-        weights = np.where(weights <= 0, 1e-15, weights)
-        return _edge_graph(network, weights, usable), None
-    if mode is PathWeightMode.RECIPROCAL:
-        weights = 1.0 / np.maximum(rho, _RHO_EPS)
-        log_rho_by_pair: Dict[Tuple[int, int], float] = {}
-        for e, (i, j) in enumerate(network.edges):
-            if usable[e]:
-                log_rho_by_pair[(i, j)] = float(np.log(rho[e]))
-                log_rho_by_pair[(j, i)] = float(np.log(rho[e]))
-        return _edge_graph(network, weights, usable), log_rho_by_pair
-    raise ModelError(f"unknown path-weight mode {mode!r}")  # pragma: no cover
+    weights = -np.log(np.where(usable, rho, 1.0))
+    # scipy treats 0-weight entries as absent in sparse graphs, so nudge
+    # exact rho == 1 edges to a tiny positive weight.
+    weights = np.where(weights <= 0, 1e-15, weights)
+    return _edge_graph(network, weights, usable)
 
 
-def _graph_rows(
-    graph: sp.csr_matrix,
-    log_rho_by_pair: Optional[Dict[Tuple[int, int], float]],
-    sources: np.ndarray,
-) -> np.ndarray:
+def _graph_rows(graph: sp.csr_matrix, sources: np.ndarray) -> np.ndarray:
     """Γ_R rows sourced at ``sources`` from one batched Dijkstra."""
     n = graph.shape[0]
     if sources.size == 0:
         return np.zeros((0, n))
-    if log_rho_by_pair is None:
-        dist = dijkstra(graph, directed=False, indices=sources)
-        corr = np.exp(-dist)
-        corr[np.isinf(dist)] = 0.0
-        corr[np.arange(sources.size), sources] = 1.0
-        return corr
-    dist, predecessors = dijkstra(
-        graph, directed=False, indices=sources, return_predecessors=True
-    )
-    corr = np.zeros((sources.size, n))
-    for row, source in enumerate(sources.tolist()):
-        preds = predecessors[row]
-        # Accumulate log-products by walking each node's predecessor
-        # chain once, memoized per source.
-        log_prod = np.full(n, np.nan)
-        log_prod[source] = 0.0
-        for target in range(n):
-            if not np.isnan(log_prod[target]) or np.isinf(dist[row, target]):
-                continue
-            chain: List[int] = []
-            node = target
-            while np.isnan(log_prod[node]):
-                chain.append(node)
-                node = int(preds[node])
-            acc = log_prod[node]
-            for node_up in reversed(chain):
-                acc += log_rho_by_pair[(int(preds[node_up]), node_up)]
-                log_prod[node_up] = acc
-        valid = ~np.isnan(log_prod)
-        corr[row, valid] = np.exp(log_prod[valid])
+    dist = dijkstra(graph, directed=False, indices=sources)
+    corr = np.exp(-dist)
+    corr[np.isinf(dist)] = 0.0
     corr[np.arange(sources.size), sources] = 1.0
     return corr
 
 
 def _redundancy_set(graph: sp.csr_matrix, theta: float) -> sp.csr_matrix:
-    """Directed road pairs ``(a, b)`` with ``Γ_R[a, b] > θ + slack`` (LOG mode).
+    """Directed road pairs ``(a, b)`` with ``Γ_R[a, b] > θ + slack``.
 
     ``exp(-d) > θ`` means a ``-log ρ`` path length ``d < -log θ``, so one
     Dijkstra bounded by that radius from every source finds every pair,
@@ -204,7 +152,6 @@ def road_road_correlation_rows(
     network: TrafficNetwork,
     rho: np.ndarray,
     sources: Sequence[int],
-    mode: PathWeightMode = PathWeightMode.LOG,
 ) -> np.ndarray:
     """Rows of the road–road correlation Γ_R (Eq. 7–10) for some sources.
 
@@ -217,7 +164,6 @@ def road_road_correlation_rows(
         network: Road graph.
         rho: Per-edge correlations aligned with ``network.edges``.
         sources: Source road indices (duplicates allowed).
-        mode: Path-weight transform; see :class:`PathWeightMode`.
 
     Returns:
         ``(len(sources), n)`` array; entry ``(k, j)`` is the maximal path
@@ -225,32 +171,26 @@ def road_road_correlation_rows(
         the source itself, 0.0 when no path of positive-correlation edges
         exists).
     """
-    graph, log_rho_by_pair = _path_graph(network, rho, mode)
     return _graph_rows(
-        graph, log_rho_by_pair, _source_array(sources, network.n_roads)
+        _path_graph(network, rho), _source_array(sources, network.n_roads)
     )
 
 
 def road_road_correlation_matrix(
-    network: TrafficNetwork,
-    rho: np.ndarray,
-    mode: PathWeightMode = PathWeightMode.LOG,
+    network: TrafficNetwork, rho: np.ndarray
 ) -> np.ndarray:
     """All-pairs road–road correlation (Eq. 7–10) for one slot.
 
     Args:
         network: Road graph.
         rho: Per-edge correlations aligned with ``network.edges``.
-        mode: Path-weight transform; see :class:`PathWeightMode`.
 
     Returns:
         Symmetric ``(n, n)`` matrix with unit diagonal; entry ``(i, j)``
         is the maximal path product of edge correlations (0.0 when no
         path of positive-correlation edges exists).
     """
-    return road_road_correlation_rows(
-        network, rho, np.arange(network.n_roads), mode
-    )
+    return road_road_correlation_rows(network, rho, np.arange(network.n_roads))
 
 
 class CorrelationRows:
@@ -261,12 +201,12 @@ class CorrelationRows:
     are memoized per source under the view's lock; one :meth:`rows` call
     derives all of its missing sources in one batched Dijkstra.  The
     θ-redundancy test of the roads OCS selects goes through
-    :meth:`redundant`, which in ``LOG`` mode reads one redundancy set per
-    θ (the pairs with ``Γ_R > θ + REDUNDANCY_SLACK``, from one
-    radius-bounded search, memoized for the last
-    :data:`_REDUNDANCY_THETAS` θ values) instead of a row per selected
-    road.  When ``dense`` returns the slot's full matrix, rows and
-    redundancy tests are read from it and nothing is derived.
+    :meth:`redundant`, which reads one redundancy set per θ (the pairs
+    with ``Γ_R > θ + REDUNDANCY_SLACK``, from one radius-bounded search,
+    memoized for the last :data:`_REDUNDANCY_THETAS` θ values) instead
+    of a row per selected road.  When ``dense`` returns the slot's full
+    matrix, rows and redundancy tests are read from it and nothing is
+    derived.
 
     Indexing answers the forms the OCS solvers use on a dense Γ_R —
     ``[np.ix_(q, c)]``, ``[road, c]``, ``[q, road]``, ``[a, b]`` — with
@@ -278,7 +218,6 @@ class CorrelationRows:
     Args:
         network: Road graph.
         rho: The slot's per-edge correlations.
-        mode: Path-weight transform.
         dense: Returns the slot's dense Γ_R when one is at hand, else
             ``None``; asked on every :meth:`rows` and :meth:`redundant`
             call.
@@ -290,7 +229,6 @@ class CorrelationRows:
         self,
         network: TrafficNetwork,
         rho: np.ndarray,
-        mode: PathWeightMode = PathWeightMode.LOG,
         dense: Optional[Callable[[], Optional[np.ndarray]]] = None,
         on_derive: Optional[Callable[[int], None]] = None,
         on_redundancy: Optional[Callable[[], None]] = None,
@@ -299,12 +237,9 @@ class CorrelationRows:
         self.shape: Tuple[int, int] = (n, n)
         self._network = network
         self._rho = rho
-        self._mode = mode
         # Built on the first derivation: a view that only ever reads a
         # cached dense matrix never pays for it.
-        self._graph: Optional[
-            Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]
-        ] = None
+        self._graph: Optional[sp.csr_matrix] = None
         self._dense = dense
         self._on_derive = on_derive
         self._on_redundancy = on_redundancy
@@ -326,10 +261,8 @@ class CorrelationRows:
         """Eq. 15's redundancy test: ``Γ_R[source, targets] > θ + slack``.
 
         Boolean array shaped like ``targets``, equal to the test on the
-        dense matrix.  ``LOG`` mode reads the memoized redundancy set of
-        ``θ``, derived on first use (single-flight under the view's
-        lock).  ``RECIPROCAL`` mode has no radius bound, so it tests the
-        memoized row sourced at ``source``.
+        dense matrix.  Reads the memoized redundancy set of ``θ``,
+        derived on first use (single-flight under the view's lock).
 
         Raises:
             IndexError: When ``source`` is not a road.
@@ -342,8 +275,6 @@ class CorrelationRows:
         dense = self._dense_matrix()
         if dense is not None:
             return dense[source, targets] > theta + REDUNDANCY_SLACK
-        if self._mode is not PathWeightMode.LOG:
-            return self[source, targets] > theta + REDUNDANCY_SLACK
         pairs = self._memo_redundancy(float(theta))
         mask = np.zeros(self.shape[1], dtype=bool)
         mask[pairs.indices[pairs.indptr[source]:pairs.indptr[source + 1]]] = True
@@ -354,7 +285,7 @@ class CorrelationRows:
         with self._lock:
             pairs = self._redundancy.get(theta)
             if pairs is None:
-                pairs = _redundancy_set(self._path_graph()[0], theta)
+                pairs = _redundancy_set(self._path_graph(), theta)
                 self._redundancy[theta] = pairs
                 if len(self._redundancy) > _REDUNDANCY_THETAS:
                     self._redundancy.popitem(last=False)
@@ -364,12 +295,10 @@ class CorrelationRows:
                 self._redundancy.move_to_end(theta)
             return pairs
 
-    def _path_graph(
-        self,
-    ) -> Tuple[sp.csr_matrix, Optional[Dict[Tuple[int, int], float]]]:
+    def _path_graph(self) -> sp.csr_matrix:
         """The slot's search graph, built on first use (caller holds the lock)."""
         if self._graph is None:
-            self._graph = _path_graph(self._network, self._rho, self._mode)
+            self._graph = _path_graph(self._network, self._rho)
         return self._graph
 
     def _memo_rows(self, order: List[int]) -> List[np.ndarray]:
@@ -378,7 +307,7 @@ class CorrelationRows:
             missing = [s for s in dict.fromkeys(order) if s not in self._rows]
             if missing:
                 derived = _graph_rows(
-                    *self._path_graph(), np.array(missing, dtype=np.intp)
+                    self._path_graph(), np.array(missing, dtype=np.intp)
                 )
                 self._rows.update(zip(missing, derived))
                 if self._on_derive is not None:
@@ -405,138 +334,3 @@ class CorrelationRows:
             )
         sources, inverse = np.unique(src, return_inverse=True)
         return self.rows(sources)[(inverse.reshape(src.shape),) + rest]
-
-
-class CorrelationTable:
-    """Precomputed all-pairs correlation table ``Γ_R`` (paper §V-A).
-
-    Built offline from an :class:`RTFModel` (one matrix per fitted
-    slot); lookups at query time are O(1) array reads.
-    """
-
-    def __init__(
-        self,
-        network: TrafficNetwork,
-        matrices: Mapping[int, np.ndarray],
-        mode: PathWeightMode = PathWeightMode.LOG,
-        digests: Optional[Mapping[int, bytes]] = None,
-    ) -> None:
-        n = network.n_roads
-        for slot, matrix in matrices.items():
-            if matrix.shape != (n, n):
-                raise ModelError(
-                    f"slot {slot}: correlation matrix shape {matrix.shape} != ({n}, {n})"
-                )
-        if not matrices:
-            raise ModelError("correlation table needs at least one slot")
-        self._network = network
-        self._matrices = dict(matrices)
-        self._mode = mode
-        self._digests: Dict[int, bytes] = dict(digests or {})
-
-    @classmethod
-    def precompute(
-        cls,
-        model: RTFModel,
-        slots: Optional[Sequence[int]] = None,
-        mode: PathWeightMode = PathWeightMode.LOG,
-    ) -> "CorrelationTable":
-        """Compute Γ_R for the given slots (default: all fitted slots).
-
-        The table records the parameter digest of every slot it was
-        derived from, so downstream consumers (``CrowdRTSE``) can detect
-        a table that no longer matches its model generation.
-        """
-        use_slots = list(slots) if slots is not None else list(model.slots)
-        matrices = {
-            t: road_road_correlation_matrix(model.network, model.slot(t).rho, mode)
-            for t in use_slots
-        }
-        digests = {t: params_signature(model.slot(t)) for t in use_slots}
-        return cls(model.network, matrices, mode, digests=digests)
-
-    @property
-    def network(self) -> TrafficNetwork:
-        """The road graph the table is defined on."""
-        return self._network
-
-    @property
-    def mode(self) -> PathWeightMode:
-        """Path-weight transform the table was built with."""
-        return self._mode
-
-    @property
-    def slots(self) -> Tuple[int, ...]:
-        """Covered slots, sorted."""
-        return tuple(sorted(self._matrices))
-
-    def matrix(self, slot: int) -> np.ndarray:
-        """The full ``(n, n)`` correlation matrix of one slot."""
-        try:
-            return self._matrices[slot]
-        except KeyError:
-            raise ModelError(
-                f"slot {slot} not in correlation table (available: {self.slots})"
-            ) from None
-
-    def digest(self, slot: int) -> Optional[bytes]:
-        """Parameter digest the slot's matrix was derived from.
-
-        ``None`` for tables built directly from matrices (no provenance
-        recorded) — only :meth:`precompute` and the snapshot views fill
-        this in.
-        """
-        return self._digests.get(slot)
-
-    # ------------------------------------------------------------------
-    # Paper Eq. 7–13
-    # ------------------------------------------------------------------
-
-    def road_road(self, slot: int, i: int, j: int) -> float:
-        """Eq. 7/10: correlation between two roads."""
-        return float(self.matrix(slot)[i, j])
-
-    def road_set(self, slot: int, road: int, road_set: Sequence[int]) -> float:
-        """Eq. 11: max correlation between ``road`` and a road set.
-
-        An empty set yields 0.0 (no crowdsourced support at all).
-        """
-        roads = np.asarray(list(road_set), dtype=int)
-        if roads.size == 0:
-            return 0.0
-        return float(self.matrix(slot)[road, roads].max())
-
-    def set_set(self, slot: int, queried: Sequence[int], selected: Sequence[int]) -> float:
-        """Eq. 12: summed road–set correlation of the queried roads."""
-        queried = list(queried)
-        return float(
-            sum(self.road_set(slot, q, selected) for q in queried)
-        )
-
-    def weighted_correlation(
-        self,
-        slot: int,
-        queried: Sequence[int],
-        selected: Sequence[int],
-        sigma: np.ndarray,
-    ) -> float:
-        """Eq. 13: periodicity-weighted correlation — the OCS objective.
-
-        Args:
-            slot: Time slot.
-            queried: Queried roads ``R^q``.
-            selected: Crowdsourced roads ``R^c``.
-            sigma: Per-road periodicity intensities ``sigma_i^t`` for the
-                *whole* network (indexed by road).
-        """
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if sigma.shape != (self._network.n_roads,):
-            raise ModelError(
-                f"sigma must have shape ({self._network.n_roads},), got {sigma.shape}"
-            )
-        return float(
-            sum(
-                sigma[q] * self.road_set(slot, q, selected)
-                for q in queried
-            )
-        )

@@ -27,7 +27,6 @@ from repro.errors import (
     wrap_internal,
 )
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
-from repro.core.correlation import CorrelationTable, PathWeightMode
 from repro.core.gsp import GSPConfig, GSPEngine, GSPResult
 from repro.core.request import EstimationRequest
 from repro.core.inference import InferenceDiagnostics, RTFInferenceConfig, fit_rtf
@@ -167,26 +166,20 @@ class CrowdRTSE:
     lives in the store's immutable snapshots, and each query pins one
     snapshot for its whole OCS → probe → GSP span.
 
-    The ``CrowdRTSE(network, model, correlations)`` form is accepted
-    too: the model becomes version 1 of an internal store and the eager
-    table seeds the correlation cache.  A table whose recorded parameter
-    digests do not match the model (a stale Γ_R generation) is rejected
-    with :class:`ModelError` at construction.
+    The ``CrowdRTSE(network, model)`` form is accepted too: the model
+    becomes version 1 of an internal store.
     """
 
     def __init__(
         self,
         network: TrafficNetwork,
         model: Optional[RTFModel] = None,
-        correlations: Optional[CorrelationTable] = None,
         *,
         store: Optional[ModelStore] = None,
     ) -> None:
         if store is not None:
-            if model is not None or correlations is not None:
-                raise ModelError(
-                    "pass either a store or a model/correlations pair, not both"
-                )
+            if model is not None:
+                raise ModelError("pass either a store or a model, not both")
             if store.network is not network and store.network != network:
                 raise ModelError("store belongs to a different network")
             self._store = store
@@ -195,41 +188,9 @@ class CrowdRTSE:
                 raise ModelError("CrowdRTSE needs a model or a store")
             if model.network is not network and model.network != network:
                 raise ModelError("model was fitted on a different network")
-            mode = (
-                correlations.mode if correlations is not None else PathWeightMode.LOG
-            )
-            self._store = ModelStore(model, path_mode=mode)
-            self._adopt_table(network, correlations)
+            self._store = ModelStore(model)
         self._network = network
         self._fit_diagnostics: Optional[Dict[int, InferenceDiagnostics]] = None
-
-    def _adopt_table(
-        self,
-        network: TrafficNetwork,
-        correlations: Optional[CorrelationTable],
-    ) -> None:
-        """Seed the store's Γ_R cache from an eager table; reject stale ones."""
-        if correlations is None:
-            return
-        if correlations.network is not network and correlations.network != network:
-            raise ModelError("correlation table belongs to a different network")
-        snapshot = self._store.current()
-        adopt = [slot for slot in correlations.slots if slot in snapshot]
-        stale = [
-            slot for slot in adopt
-            if correlations.digest(slot) not in (None, snapshot.digest(slot))
-        ]
-        if stale:
-            raise ModelError(
-                f"correlation table is stale for slots {stale}: it was derived "
-                f"from a different parameter generation (digest mismatch); "
-                f"rebuild the table, or refresh the slots through the ModelStore"
-            )
-        # A table without digests predates them and is trusted as before.
-        for slot in adopt:
-            self._store.seed_correlation(
-                snapshot.digest(slot), correlations.matrix(slot)
-            )
 
     @classmethod
     def fit(
@@ -238,12 +199,11 @@ class CrowdRTSE:
         history: SpeedHistory,
         slots: Optional[Sequence[int]] = None,
         inference_config: Optional[RTFInferenceConfig] = None,
-        path_mode: PathWeightMode = PathWeightMode.LOG,
     ) -> "CrowdRTSE":
         """Offline stage: train RTF and publish it as store version 1.
 
-        Correlation matrices Γ_R are **not** materialized here any more;
-        they are derived lazily per slot on first use, keyed by the
+        Correlation matrices Γ_R are **not** materialized here; they
+        are derived lazily per slot on first use, keyed by the
         slot's parameter digest (see
         :meth:`~repro.core.store.ModelSnapshot.correlation_matrix`).
 
@@ -252,10 +212,9 @@ class CrowdRTSE:
             history: Offline speed record.
             slots: Slots to fit (default: all covered by the history).
             inference_config: Alg. 1 knobs.
-            path_mode: Path-weight transform for correlation derivation.
         """
         model, diagnostics = fit_rtf(network, history, slots, inference_config)
-        system = cls(network, store=ModelStore(model, path_mode=path_mode))
+        system = cls(network, store=ModelStore(model))
         system._fit_diagnostics = dict(diagnostics)
         return system
 
@@ -273,11 +232,6 @@ class CrowdRTSE:
     def model(self) -> RTFModel:
         """The current snapshot's parameters as an :class:`RTFModel` view."""
         return self._store.current().model
-
-    @property
-    def correlations(self) -> CorrelationTable:
-        """Lazy Γ_R table view over the current snapshot."""
-        return self._store.current().correlations
 
     @property
     def fit_diagnostics(self) -> Optional[Dict[int, InferenceDiagnostics]]:

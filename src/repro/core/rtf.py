@@ -111,8 +111,9 @@ class RTFSlot:
             raise ModelError("mu/sigma contain NaN or infinity")
         if np.any(self.sigma <= 0):
             raise ModelError("sigma must be strictly positive")
-        if np.any((self.rho < 0) | (self.rho > 1)):
-            raise ModelError("rho must lie in [0, 1]")
+        # Written so NaN fails it: every comparison with NaN is False.
+        if not np.all((self.rho >= 0) & (self.rho <= 1)):
+            raise ModelError("rho must be finite and lie in [0, 1]")
 
     @property
     def n_roads(self) -> int:

@@ -37,7 +37,6 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.correlation import PathWeightMode
 from repro.core.rtf import RTFModel, RTFSlot, network_fingerprint, params_signature
 from repro.core.store import ModelStore
 from repro.errors import ModelError
@@ -369,7 +368,6 @@ def load_model(
 def load_store(
     path: Union[str, Path],
     network: TrafficNetwork,
-    path_mode: PathWeightMode = PathWeightMode.LOG,
     *,
     mmap: bool = True,
     max_artifacts: int = 512,
@@ -392,9 +390,7 @@ def load_store(
     start = time.perf_counter()
     snapshot = read_snapshot(path, network, mmap=mmap)
     model = RTFModel(network, [snapshot.slot_params(t) for t in snapshot.slots])
-    store = ModelStore(
-        model, path_mode, max_artifacts, digests=dict(snapshot.digests)
-    )
+    store = ModelStore(model, max_artifacts, digests=dict(snapshot.digests))
     if snapshot.has_propagation:
         for t in snapshot.slots:
             store.seed_propagation(snapshot.digests[t], snapshot.propagation_arrays(t))

@@ -2,9 +2,8 @@
 
 The paper's offline/online split (Fig. 1) fits the RTF once and serves
 it forever.  A deployed estimator instead absorbs new days continuously
-while answering concurrent queries, which needs three properties the
-plain :class:`~repro.core.rtf.RTFModel` + eager
-:class:`~repro.core.correlation.CorrelationTable` pair cannot give:
+while answering concurrent queries, which needs three properties a
+plain :class:`~repro.core.rtf.RTFModel` cannot give:
 
 * **Snapshot isolation** — a query pins one :class:`ModelSnapshot` for
   its whole OCS → probe → GSP span; a refresh published halfway through
@@ -16,9 +15,11 @@ plain :class:`~repro.core.rtf.RTFModel` + eager
 * **Lazy, digest-keyed derivation** — correlation matrices Γ_R,
   row-on-demand Γ_R views and GSP propagation structures are derived per
   slot on first use and cached by the content digest of the slot parameters
-  (:func:`~repro.core.rtf.params_signature`).  A 288-slot model no
-  longer materializes 288 dense ``(n, n)`` matrices up front, and a
-  refreshed slot's new digest can never collide with its stale artifact.
+  (:func:`~repro.core.rtf.params_signature`).  This cache is the only
+  owner of Γ_R: nothing builds a table up front, so a 288-slot model
+  never materializes 288 dense ``(n, n)`` matrices it does not read, and
+  a refreshed slot's new digest can never collide with its stale
+  artifact.
 
 :class:`ModelStore` is the mutable coordinator: it holds the current
 snapshot behind a lock and publishes new versions atomically.
@@ -39,8 +40,6 @@ import numpy as np
 from repro.errors import BackendError, ModelError, NotFittedError
 from repro.core.correlation import (
     CorrelationRows,
-    CorrelationTable,
-    PathWeightMode,
     road_road_correlation_matrix,
 )
 from repro.core.gsp import PropagationStructure, build_propagation_structure
@@ -256,35 +255,6 @@ class _ArtifactCache:
                 metrics.counter("store.artifacts.derivations", {"kind": kind}).inc()
 
 
-class SnapshotCorrelations(CorrelationTable):
-    """Lazy :class:`CorrelationTable` view over one snapshot.
-
-    Duck-compatible with the eager table (Eq. 7–13 lookups, ``matrix``,
-    ``slots``, ``mode``) but derives each slot's Γ_R on first use via
-    the snapshot's digest-keyed artifact cache.
-    """
-
-    def __init__(self, snapshot: "ModelSnapshot") -> None:
-        # Deliberately skip CorrelationTable.__init__: there is no eager
-        # matrix dict; `matrix`/`slots`/`digest` are overridden below.
-        self._network = snapshot.network
-        self._mode = snapshot.path_mode
-        self._snapshot = snapshot
-
-    @property
-    def slots(self) -> Tuple[int, ...]:
-        """Covered slots (every fitted slot of the snapshot), sorted."""
-        return self._snapshot.slots
-
-    def matrix(self, slot: int) -> np.ndarray:
-        """The ``(n, n)`` matrix of one slot, derived on first use."""
-        return self._snapshot.correlation_matrix(slot)
-
-    def digest(self, slot: int) -> Optional[bytes]:
-        """Digest of the parameters the slot's matrix derives from."""
-        return self._snapshot.digest(slot)
-
-
 class ModelSnapshot:
     """One immutable published version of the RTF model.
 
@@ -301,7 +271,6 @@ class ModelSnapshot:
         network: TrafficNetwork,
         params: Mapping[int, RTFSlot],
         digests: Mapping[int, bytes],
-        path_mode: PathWeightMode,
         artifacts: _ArtifactCache,
         backend_states: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -311,12 +280,10 @@ class ModelSnapshot:
         self._network = network
         self._params = dict(params)
         self._digests = dict(digests)
-        self._path_mode = path_mode
         self._artifacts = artifacts
         self._backend_states: Dict[str, object] = dict(backend_states or {})
         self._lazy_lock = threading.Lock()
         self._model: Optional[RTFModel] = None
-        self._correlations: Optional[SnapshotCorrelations] = None
 
     # -- identity -------------------------------------------------------
 
@@ -329,11 +296,6 @@ class ModelSnapshot:
     def network(self) -> TrafficNetwork:
         """The road graph the snapshot is defined on."""
         return self._network
-
-    @property
-    def path_mode(self) -> PathWeightMode:
-        """Path-weight transform used for correlation derivation."""
-        return self._path_mode
 
     @property
     def slots(self) -> Tuple[int, ...]:
@@ -422,9 +384,7 @@ class ModelSnapshot:
         return self._artifacts.get_or_derive(
             _KIND_CORRELATION,
             self.digest(slot),
-            lambda: road_road_correlation_matrix(
-                self._network, params.rho, self._path_mode
-            ),
+            lambda: road_road_correlation_matrix(self._network, params.rho),
         )
 
     def correlation_rows(self, slot: int) -> CorrelationRows:
@@ -447,7 +407,6 @@ class ModelSnapshot:
             lambda: CorrelationRows(
                 self._network,
                 params.rho,
-                self._path_mode,
                 dense=lambda: artifacts.peek(_KIND_CORRELATION, digest),
                 on_derive=artifacts.count_rows,
                 on_redundancy=artifacts.count_redundancy,
@@ -480,14 +439,6 @@ class ModelSnapshot:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The GSP precision arrays the slot's structure was compiled from."""
         return self.propagation_structure(slot).arrays
-
-    @property
-    def correlations(self) -> SnapshotCorrelations:
-        """Lazy Γ_R table view bound to this snapshot (Eq. 7–13 API)."""
-        with self._lazy_lock:
-            if self._correlations is None:
-                self._correlations = SnapshotCorrelations(self)
-            return self._correlations
 
     # -- warm-start seed fields -----------------------------------------
 
@@ -547,7 +498,6 @@ class ModelStore:
 
     Args:
         model: Initial parameters (version 1).
-        path_mode: Path-weight transform for Γ_R derivation.
         max_artifacts: LRU capacity of the shared derived-artifact cache.
         digests: Precomputed per-slot content digests (as written by
             :mod:`repro.core.snapshot_io`); slots not covered are hashed
@@ -560,13 +510,11 @@ class ModelStore:
     def __init__(
         self,
         model: RTFModel,
-        path_mode: PathWeightMode = PathWeightMode.LOG,
         max_artifacts: int = 512,
         digests: Optional[Mapping[int, bytes]] = None,
     ) -> None:
         self.stats = StoreStats()
         self._network = model.network
-        self._path_mode = path_mode
         self._artifacts = _ArtifactCache(self.stats, max_artifacts)
         # The paper's estimator is built in: its state in each snapshot
         # is a view over that snapshot's own slots, so it refreshes with
@@ -595,21 +543,15 @@ class ModelStore:
         cls,
         network: TrafficNetwork,
         slots: Iterable[RTFSlot],
-        path_mode: PathWeightMode = PathWeightMode.LOG,
         max_artifacts: int = 512,
     ) -> "ModelStore":
         """Build a store directly from per-slot parameters."""
-        return cls(RTFModel(network, slots), path_mode, max_artifacts)
+        return cls(RTFModel(network, slots), max_artifacts)
 
     @property
     def network(self) -> TrafficNetwork:
         """The road graph every version is defined on."""
         return self._network
-
-    @property
-    def path_mode(self) -> PathWeightMode:
-        """Path-weight transform used for correlation derivation."""
-        return self._path_mode
 
     @property
     def version(self) -> int:
@@ -764,8 +706,8 @@ class ModelStore:
         garbage collector frees.)
         """
         snapshot = ModelSnapshot(
-            version, self._network, params, digests, self._path_mode,
-            self._artifacts, backend_states=backend_states,
+            version, self._network, params, digests, self._artifacts,
+            backend_states=backend_states,
         )
         snapshot._backend_states[self._native.name] = self._native.snapshot_state(
             params, snapshot.propagation_structure
@@ -921,21 +863,6 @@ class ModelStore:
         return self._artifacts.get_or_derive(f"backend.{kind}", digest, derive)
 
     # -- cache plumbing -------------------------------------------------
-
-    def seed_correlation(self, digest: bytes, matrix: np.ndarray) -> None:
-        """Warm the artifact cache with a precomputed Γ_R matrix.
-
-        Used when adopting an eagerly built
-        :class:`~repro.core.correlation.CorrelationTable` whose digests
-        match the current parameters, so that construction does not
-        re-derive work it already has in hand.
-        """
-        n = self._network.n_roads
-        if matrix.shape != (n, n):
-            raise ModelError(
-                f"correlation matrix shape {matrix.shape} != ({n}, {n})"
-            )
-        self._artifacts.seed(_KIND_CORRELATION, digest, matrix)
 
     def seed_propagation(
         self,

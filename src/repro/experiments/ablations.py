@@ -12,11 +12,16 @@ paper fixes implicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
-from repro.core.correlation import PathWeightMode, road_road_correlation_matrix
+from repro.core.correlation import (
+    _RHO_EPS,
+    _edge_graph,
+    road_road_correlation_matrix,
+)
 from repro.core.gsp import GSPConfig, GSPSchedule, propagate
 from repro.core.inference import RTFInferenceConfig, infer_slot_parameters
 from repro.core.request import EstimationRequest
@@ -31,6 +36,7 @@ from repro.experiments.common import (
     format_rows,
     market_for,
 )
+from repro.network.graph import TrafficNetwork
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,55 @@ class AblationRow:
     variant: str
     metric: str
     value: float
+
+
+def _reciprocal_correlation_matrix(
+    network: TrafficNetwork, rho: np.ndarray
+) -> np.ndarray:
+    """The paper-literal Γ_R of Eq. 9: products along the ``1/rho`` paths.
+
+    Dijkstra runs on weights ``1/rho``; the product of ``rho`` is then
+    evaluated along each shortest path found, by walking every road's
+    predecessor chain once per source.  Serving uses the exact ``-log
+    rho`` transform (:func:`road_road_correlation_matrix`); this twin
+    exists only to measure how far the paper's heuristic falls from it.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    n = network.n_roads
+    usable = rho > _RHO_EPS
+    graph = _edge_graph(network, 1.0 / np.maximum(rho, _RHO_EPS), usable)
+    log_rho_by_pair: Dict[Tuple[int, int], float] = {}
+    for e, (i, j) in enumerate(network.edges):
+        if usable[e]:
+            log_rho_by_pair[(i, j)] = float(np.log(rho[e]))
+            log_rho_by_pair[(j, i)] = float(np.log(rho[e]))
+    sources = np.arange(n)
+    dist, predecessors = dijkstra(
+        graph, directed=False, indices=sources, return_predecessors=True
+    )
+    corr = np.zeros((n, n))
+    for row, source in enumerate(sources.tolist()):
+        preds = predecessors[row]
+        # Accumulate log-products by walking each node's predecessor
+        # chain once, memoized per source.
+        log_prod = np.full(n, np.nan)
+        log_prod[source] = 0.0
+        for target in range(n):
+            if not np.isnan(log_prod[target]) or np.isinf(dist[row, target]):
+                continue
+            chain: List[int] = []
+            node = target
+            while np.isnan(log_prod[node]):
+                chain.append(node)
+                node = int(preds[node])
+            acc = log_prod[node]
+            for node_up in reversed(chain):
+                acc += log_rho_by_pair[(int(preds[node_up]), node_up)]
+                log_prod[node_up] = acc
+        valid = ~np.isnan(log_prod)
+        corr[row, valid] = np.exp(log_prod[valid])
+    corr[sources, sources] = 1.0
+    return corr
 
 
 def path_weight_ablation(
@@ -55,8 +110,8 @@ def path_weight_ablation(
     data = default_semisyn(scale)
     system = fit_system("semisyn", scale)
     rho = system.model.slot(data.slot).rho
-    exact = road_road_correlation_matrix(data.network, rho, PathWeightMode.LOG)
-    paper = road_road_correlation_matrix(data.network, rho, PathWeightMode.RECIPROCAL)
+    exact = road_road_correlation_matrix(data.network, rho)
+    paper = _reciprocal_correlation_matrix(data.network, rho)
     diff = np.abs(exact - paper)
     return [
         AblationRow("path-weights", "max |Δcorr|", "corr", float(diff.max())),

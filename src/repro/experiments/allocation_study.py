@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.allocation import allocate_budget
-from repro.core.correlation import CorrelationTable
 from repro.core.inference import fit_rtf
 from repro.core.pipeline import CrowdRTSE
 from repro.core.request import EstimationRequest
@@ -60,8 +59,7 @@ def run(
     slots = window[::stride][:n_slots]
 
     model, _ = fit_rtf(data.network, data.train_history, slots=slots)
-    table = CorrelationTable.precompute(model)
-    system = CrowdRTSE(data.network, model, table)
+    system = CrowdRTSE(data.network, model)
 
     per_slot = total_budget // len(slots)
     uniform = {slot: per_slot for slot in slots}

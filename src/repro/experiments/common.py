@@ -22,7 +22,6 @@ from repro.baselines import (
     LassoEstimator,
     PeriodicEstimator,
 )
-from repro.core.correlation import PathWeightMode
 from repro.core.ocs import OCSInstance
 from repro.core.pipeline import CrowdRTSE
 from repro.core.request import EstimationRequest
@@ -93,19 +92,15 @@ def default_gmission(scale: ExperimentScale = ExperimentScale.PAPER) -> Dataset:
 def fit_system(
     dataset_name: str,
     scale: ExperimentScale = ExperimentScale.PAPER,
-    path_mode: PathWeightMode = PathWeightMode.LOG,
 ) -> CrowdRTSE:
     """Memoized offline stage (RTF fit + Γ_R) for a default dataset.
 
     Args:
         dataset_name: ``"semisyn"`` or ``"gmission"``.
         scale: Experiment sizing.
-        path_mode: Path-weight transform for the correlation table.
     """
     data = dataset_by_name(dataset_name, scale)
-    return CrowdRTSE.fit(
-        data.network, data.train_history, slots=[data.slot], path_mode=path_mode
-    )
+    return CrowdRTSE.fit(data.network, data.train_history, slots=[data.slot])
 
 
 def dataset_by_name(name: str, scale: ExperimentScale) -> Dataset:
@@ -140,15 +135,15 @@ def ocs_instance_for(
     swap in alternative cost models (Fig. 2 compares cost ranges C1/C2).
     """
     costs = (cost_model or data.cost_model).costs_of(data.worker_roads).astype(float)
-    params = system.model.slot(data.slot)
+    snapshot = system.store.current()
     return OCSInstance(
         queried=data.queried,
         candidates=data.worker_roads,
         costs=costs,
         budget=float(budget),
         theta=theta if theta is not None else data.theta,
-        corr=system.correlations.matrix(data.slot),
-        sigma=params.sigma,
+        corr=snapshot.correlation_matrix(data.slot),
+        sigma=snapshot.slot(data.slot).sigma,
     )
 
 

@@ -68,10 +68,7 @@ def run(
     """
     data = default_semisyn(scale)
     static = fit_system("semisyn", scale)
-    live = CrowdRTSE(
-        data.network,
-        store=ModelStore(static.model, path_mode=static.correlations.mode),
-    )
+    live = CrowdRTSE(data.network, store=ModelStore(static.model))
     local = data.test_history.local_slot(data.slot)
 
     rows: List[DailyRefreshRow] = []

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.correlation import CorrelationTable
+from repro.core.correlation import road_road_correlation_matrix
 from repro.core.exact_inference import exact_conditional_mean
 from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule
 from repro.core.inference import fit_rtf
@@ -69,7 +69,7 @@ def run(
         params = model.slot(data.slot)
 
         start = time.perf_counter()
-        table = CorrelationTable.precompute(model)
+        corr = road_road_correlation_matrix(subnetwork, params.rho)
         gamma_s = time.perf_counter() - start
 
         n_queried = max(5, size // 10)
@@ -82,7 +82,7 @@ def run(
             costs=np.ones(size),
             budget=float(budget),
             theta=0.92,
-            corr=table.matrix(data.slot),
+            corr=corr,
             sigma=params.sigma,
         )
         start = time.perf_counter()

@@ -5,21 +5,8 @@ import pytest
 
 import repro
 from repro.errors import ModelError
-from repro.core.correlation import (
-    CorrelationTable,
-    PathWeightMode,
-    road_road_correlation_matrix,
-)
-from repro.core.rtf import RTFModel, RTFSlot
-
-
-def slot_for(net, rho, slot=0):
-    return RTFSlot(
-        slot=slot,
-        mu=np.full(net.n_roads, 50.0),
-        sigma=np.full(net.n_roads, 3.0),
-        rho=np.asarray(rho, dtype=float),
-    )
+from repro.core.correlation import road_road_correlation_matrix
+from repro.experiments.ablations import _reciprocal_correlation_matrix
 
 
 class TestRoadRoadMatrix:
@@ -88,15 +75,23 @@ class TestRoadRoadMatrix:
         with pytest.raises(ModelError):
             road_road_correlation_matrix(line_net, np.full(5, 1.2))
 
+    def test_nan_rho_rejected(self, line_net):
+        # NaN fails no range comparison; read as a cut edge it would
+        # silently zero every correlation across it.
+        rho = np.full(5, 0.9)
+        rho[2] = np.nan
+        with pytest.raises(ModelError, match="finite"):
+            road_road_correlation_matrix(line_net, rho)
+
 
 class TestReciprocalMode:
+    """The paper-literal ``1/rho`` transform, kept only by the ablation."""
+
     def test_matches_log_on_line(self, line_net):
         # Unique paths: both modes must agree exactly.
         rho = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
-        log_corr = road_road_correlation_matrix(line_net, rho, PathWeightMode.LOG)
-        rec_corr = road_road_correlation_matrix(
-            line_net, rho, PathWeightMode.RECIPROCAL
-        )
+        log_corr = road_road_correlation_matrix(line_net, rho)
+        rec_corr = _reciprocal_correlation_matrix(line_net, rho)
         assert np.allclose(log_corr, rec_corr)
 
     def test_log_mode_never_worse(self, rng):
@@ -104,8 +99,8 @@ class TestReciprocalMode:
         # dominate the reciprocal heuristic's everywhere.
         net = repro.grid_network(4, 4)
         rho = rng.uniform(0.1, 0.95, net.n_edges)
-        log_corr = road_road_correlation_matrix(net, rho, PathWeightMode.LOG)
-        rec_corr = road_road_correlation_matrix(net, rho, PathWeightMode.RECIPROCAL)
+        log_corr = road_road_correlation_matrix(net, rho)
+        rec_corr = _reciprocal_correlation_matrix(net, rho)
         assert np.all(log_corr >= rec_corr - 1e-9)
 
     def test_modes_can_disagree(self):
@@ -122,63 +117,14 @@ class TestReciprocalMode:
         rho[net.edge_id(0, 2)] = 0.5
         rho[net.edge_id(0, 1)] = 0.9
         rho[net.edge_id(1, 2)] = 0.9
-        log_corr = road_road_correlation_matrix(net, rho, PathWeightMode.LOG)
-        rec_corr = road_road_correlation_matrix(net, rho, PathWeightMode.RECIPROCAL)
+        log_corr = road_road_correlation_matrix(net, rho)
+        rec_corr = _reciprocal_correlation_matrix(net, rho)
         assert log_corr[0, 2] == pytest.approx(0.81)
         assert rec_corr[0, 2] == pytest.approx(0.5)
 
     def test_symmetric_and_unit_diagonal(self, rng):
         net = repro.grid_network(3, 3)
         rho = rng.uniform(0.2, 0.9, net.n_edges)
-        corr = road_road_correlation_matrix(net, rho, PathWeightMode.RECIPROCAL)
+        corr = _reciprocal_correlation_matrix(net, rho)
         assert np.allclose(corr, corr.T)
         assert np.allclose(np.diag(corr), 1.0)
-
-
-class TestCorrelationTable:
-    @pytest.fixture()
-    def table(self, line_net):
-        rho = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
-        model = RTFModel(line_net, [slot_for(line_net, rho, slot=3)])
-        return CorrelationTable.precompute(model)
-
-    def test_slots(self, table):
-        assert table.slots == (3,)
-
-    def test_missing_slot(self, table):
-        with pytest.raises(ModelError):
-            table.matrix(9)
-
-    def test_road_road(self, table):
-        assert table.road_road(3, 0, 1) == pytest.approx(0.9)
-
-    def test_road_set_empty_is_zero(self, table):
-        assert table.road_set(3, 0, []) == 0.0
-
-    def test_road_set_takes_max(self, table):
-        # corr(0,{1,5}) = max(0.9, 0.9*0.8*0.7*0.6*0.5).
-        assert table.road_set(3, 0, [1, 5]) == pytest.approx(0.9)
-
-    def test_set_set_sums(self, table):
-        expected = table.road_set(3, 0, [2]) + table.road_set(3, 4, [2])
-        assert table.set_set(3, [0, 4], [2]) == pytest.approx(expected)
-
-    def test_weighted_correlation(self, table, line_net):
-        sigma = np.arange(1.0, 7.0)
-        value = table.weighted_correlation(3, [0, 4], [2], sigma)
-        expected = sigma[0] * table.road_set(3, 0, [2]) + sigma[4] * table.road_set(
-            3, 4, [2]
-        )
-        assert value == pytest.approx(expected)
-
-    def test_weighted_correlation_shape_check(self, table):
-        with pytest.raises(ModelError):
-            table.weighted_correlation(3, [0], [1], np.ones(3))
-
-    def test_empty_table_rejected(self, line_net):
-        with pytest.raises(ModelError):
-            CorrelationTable(line_net, {})
-
-    def test_shape_mismatch_rejected(self, line_net):
-        with pytest.raises(ModelError):
-            CorrelationTable(line_net, {0: np.ones((3, 3))})

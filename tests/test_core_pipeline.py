@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.correlation import CorrelationTable
 from repro.core.store import ModelStore
 from repro.errors import ModelError, SelectionError
 from repro.datasets import truth_oracle_for
@@ -28,11 +27,13 @@ def truth(tiny_dataset):
 class TestFit:
     def test_fit_builds_model_and_table(self, tiny_dataset, tiny_system):
         assert tiny_dataset.slot in tiny_system.model
-        assert tiny_dataset.slot in tiny_system.correlations.slots
+        n = tiny_dataset.n_roads
+        snapshot = tiny_system.store.current()
+        assert snapshot.correlation_matrix(tiny_dataset.slot).shape == (n, n)
 
     def test_network_mismatch_rejected(self, tiny_system, grid_net):
         with pytest.raises(ModelError):
-            repro.CrowdRTSE(grid_net, tiny_system.model, tiny_system.correlations)
+            repro.CrowdRTSE(grid_net, tiny_system.model)
 
     def test_fit_publishes_store_version_1(self, tiny_system):
         assert tiny_system.store.version == 1
@@ -43,40 +44,15 @@ class TestFit:
         assert diags is not None and tiny_dataset.slot in diags
         assert diags[tiny_dataset.slot].iterations >= 1
 
-    def test_correlations_is_lazy_table_view(self, tiny_dataset, tiny_system):
-        table = tiny_system.correlations
-        assert isinstance(table, CorrelationTable)
-        n = tiny_dataset.n_roads
-        assert table.matrix(tiny_dataset.slot).shape == (n, n)
-
 
 class TestLegacyConstruction:
-    def test_model_plus_matching_table_adopted(self, tiny_dataset, tiny_system):
-        """The eager table's matrices seed the store: nothing re-derives."""
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        system = repro.CrowdRTSE(tiny_dataset.network, model, table)
-        np.testing.assert_allclose(
-            system.correlations.matrix(tiny_dataset.slot),
-            table.matrix(tiny_dataset.slot),
-        )
+    def test_model_becomes_store_version_1(self, tiny_dataset, tiny_system):
+        """``CrowdRTSE(network, model)`` publishes the model, derives nothing."""
+        system = repro.CrowdRTSE(tiny_dataset.network, tiny_system.model)
+        assert system.store.version == 1
+        assert system.store.current().slots == tiny_system.model.slots
         assert system.store.stats.correlation_derivations == 0
         assert system.fit_diagnostics is None
-
-    def test_stale_table_rejected_at_construction(self, tiny_dataset, tiny_system):
-        """A Γ_R generation that mismatches the model is refused outright."""
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        stale_model = repro.refresh_model(
-            tiny_dataset.network,
-            model,
-            {tiny_dataset.slot: tiny_dataset.test_history.day(0)[
-                tiny_dataset.test_history.local_slot(tiny_dataset.slot)
-            ]},
-            learning_rate=0.5,
-        )
-        with pytest.raises(ModelError, match="digest mismatch"):
-            repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
 
 
 class TestRefresh:

@@ -38,6 +38,12 @@ class TestRTFSlotValidation:
         with pytest.raises(ModelError, match="rho"):
             RTFSlot(0, np.ones(6), np.ones(6), np.full(5, 1.5))
 
+    def test_nan_rho_rejected(self, line_net):
+        rho = np.full(5, 0.5)
+        rho[2] = np.nan
+        with pytest.raises(ModelError, match="rho"):
+            RTFSlot(0, np.ones(6), np.ones(6), rho)
+
     def test_nan_rejected(self, line_net):
         mu = np.ones(6)
         mu[0] = np.nan

@@ -21,7 +21,6 @@ import repro
 import repro.core.correlation as correlation_module
 from repro.core.correlation import (
     CorrelationRows,
-    PathWeightMode,
     road_road_correlation_matrix,
     road_road_correlation_rows,
 )
@@ -44,9 +43,6 @@ from repro.core.store import (
     ModelStore,
 )
 from repro.datasets import truth_oracle_for
-
-MODES = (PathWeightMode.LOG, PathWeightMode.RECIPROCAL)
-
 
 @pytest.fixture(scope="module")
 def fitted_model(small_world):
@@ -74,35 +70,32 @@ def _isolated_world():
 
 
 class TestRowsMatchDense:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_fitted_slot(self, fitted_model, mode):
+    def test_every_fitted_slot(self, fitted_model):
         network = fitted_model.network
         rng = np.random.default_rng(5)
         for slot in fitted_model.slots:
             rho = fitted_model.slot(slot).rho
-            dense = road_road_correlation_matrix(network, rho, mode)
+            dense = road_road_correlation_matrix(network, rho)
             sources = rng.permutation(network.n_roads)
-            rows = road_road_correlation_rows(network, rho, sources, mode)
+            rows = road_road_correlation_rows(network, rho, sources)
             np.testing.assert_array_equal(rows, dense[sources])
             assert rows.flags.c_contiguous
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_zero_rho_and_disconnected_roads(self, mode):
+    def test_zero_rho_and_disconnected_roads(self):
         network, rho = _isolated_world()
-        dense = road_road_correlation_matrix(network, rho, mode)
+        dense = road_road_correlation_matrix(network, rho)
         for source in range(network.n_roads):
-            row = road_road_correlation_rows(network, rho, [source], mode)
+            row = road_road_correlation_rows(network, rho, [source])
             np.testing.assert_array_equal(row[0], dense[source])
         assert dense[0, 2] == 0.0 and dense[0, 3] == 0.0
         assert dense[3, 4] == pytest.approx(1.0) and dense[4, 4] == 1.0
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_duplicates_and_order_kept(self, fitted_model, mode):
+    def test_duplicates_and_order_kept(self, fitted_model):
         network = fitted_model.network
         rho = fitted_model.slot(fitted_model.slots[0]).rho
-        dense = road_road_correlation_matrix(network, rho, mode)
+        dense = road_road_correlation_matrix(network, rho)
         sources = [7, 3, 7, 0]
-        rows = road_road_correlation_rows(network, rho, sources, mode)
+        rows = road_road_correlation_rows(network, rho, sources)
         np.testing.assert_array_equal(rows, dense[sources])
 
     def test_empty_and_out_of_range_sources(self, line_net):
@@ -158,9 +151,9 @@ class TestIndexForms:
         asked = []
         real = correlation_module._graph_rows
 
-        def spy(graph, log_rho, sources):
+        def spy(graph, sources):
             asked.append(sources.tolist())
-            return real(graph, log_rho, sources)
+            return real(graph, sources)
 
         monkeypatch.setattr(correlation_module, "_graph_rows", spy)
         view[4, 9]
@@ -397,9 +390,9 @@ class TestConcurrentRows:
         derived = []
         real = correlation_module._graph_rows
 
-        def recording(graph, log_rho, sources):
+        def recording(graph, sources):
             derived.extend(sources.tolist())
-            return real(graph, log_rho, sources)
+            return real(graph, sources)
 
         monkeypatch.setattr(correlation_module, "_graph_rows", recording)
         view = _view(world)

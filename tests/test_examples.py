@@ -1,7 +1,7 @@
 """Smoke tests: the example scripts run end-to-end and print results.
 
 Each example is executed as a subprocess (exactly how a user runs it)
-and its output checked for the headline lines.  Marked slow; the two
+and its output checked for the headline lines.  Marked slow; the
 fastest examples are exercised so the suite stays snappy.
 """
 
@@ -36,3 +36,9 @@ class TestExamples:
         out = run_example("incident_detection.py")
         assert "*ALARM*" in out
         assert "incident zone" in out
+
+    def test_streaming_deployment(self):
+        out = run_example("streaming_deployment.py")
+        assert "day 5:" in out
+        # One publish per replayed day on top of the fitted version 1.
+        assert "store version 7" in out

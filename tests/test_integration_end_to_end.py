@@ -64,8 +64,7 @@ class TestFullPipelineSemiSyn:
         path = tmp_path / "rtf.npz"
         system.model.save(path)
         loaded = repro.RTFModel.load(path, data.network)
-        table = repro.CorrelationTable.precompute(loaded)
-        rebuilt = repro.CrowdRTSE(data.network, loaded, table)
+        rebuilt = repro.CrowdRTSE(data.network, loaded)
         market = repro.CrowdMarket(
             data.network, data.pool, data.cost_model, rng=np.random.default_rng(0)
         )
@@ -227,8 +226,7 @@ class TestInferenceQualityOnSimulatedWorld:
         slot = 98
         model, _ = repro.fit_rtf(network, history, slots=[slot])
         params = model.slot(slot)
-        table = repro.CorrelationTable.precompute(model)
-        corr = table.matrix(slot)
+        corr = repro.road_road_correlation_matrix(network, params.rho)
         rng = np.random.default_rng(64)
         # Average fitted adjacency correlation should exceed the path
         # correlation of random far-apart pairs.

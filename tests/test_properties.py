@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import repro
-from repro.core.correlation import PathWeightMode, road_road_correlation_matrix
+from repro.core.correlation import road_road_correlation_matrix
 from repro.core.gsp import GSPConfig, propagate
 from repro.core.inference import empirical_slot_parameters
 from repro.core.ocs import (
@@ -22,6 +22,7 @@ from repro.eval.metrics import (
     false_estimation_rate,
     mean_absolute_percentage_error,
 )
+from repro.experiments.ablations import _reciprocal_correlation_matrix
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -89,8 +90,8 @@ class TestCorrelationProperties:
     @settings(max_examples=30, deadline=None)
     def test_log_mode_dominates_reciprocal(self, net_rho):
         net, rho = net_rho
-        exact = road_road_correlation_matrix(net, rho, PathWeightMode.LOG)
-        paper = road_road_correlation_matrix(net, rho, PathWeightMode.RECIPROCAL)
+        exact = road_road_correlation_matrix(net, rho)
+        paper = _reciprocal_correlation_matrix(net, rho)
         assert np.all(exact >= paper - 1e-9)
 
     @given(network_with_rho())

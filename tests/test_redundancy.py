@@ -1,9 +1,8 @@
 """θ-redundancy sets: OCS's Eq. 15 test from one bounded search per θ.
 
 A :class:`CorrelationRows` view answers ``Γ_R[a, b] > θ + slack`` through
-:meth:`CorrelationRows.redundant`.  In ``LOG`` mode it reads one
-redundancy set per θ, derived by a Dijkstra bounded by ``-log θ``; in
-``RECIPROCAL`` mode it tests per-source rows.  Everything here pins that
+:meth:`CorrelationRows.redundant`, which reads one redundancy set per θ,
+derived by a Dijkstra bounded by ``-log θ``.  Everything here pins that
 test to the dense matrix *bitwise*: the sets themselves, every solver's
 selection and ``is_feasible``, what a served query derives, and the set's
 lifetime (single-flight per θ, a few θ per view, dropped at publish).
@@ -25,7 +24,6 @@ import repro.core.correlation as correlation_module
 from repro.core.correlation import (
     REDUNDANCY_SLACK,
     CorrelationRows,
-    PathWeightMode,
     road_road_correlation_matrix,
 )
 from repro.core.inference import empirical_slot_parameters
@@ -42,9 +40,6 @@ from repro.core.rtf import RTFModel, RTFSlot
 from repro.core.store import _KIND_CORRELATION_ROWS, ModelStore
 from repro.datasets import truth_oracle_for
 from repro.errors import ModelError
-
-MODES = (PathWeightMode.LOG, PathWeightMode.RECIPROCAL)
-
 
 @pytest.fixture(scope="module")
 def fitted_model(small_world):
@@ -63,18 +58,18 @@ def _network(n, edges):
     return repro.TrafficNetwork(roads, [(f"r{i}", f"r{j}") for i, j in edges])
 
 
-def _assert_matches_dense(network, rho, mode, theta):
+def _assert_matches_dense(network, rho, theta):
     """Every road's test against every road equals the dense threshold."""
-    dense = road_road_correlation_matrix(network, rho, mode)
+    dense = road_road_correlation_matrix(network, rho)
     sets = []
-    view = CorrelationRows(network, rho, mode, on_redundancy=lambda: sets.append(1))
+    view = CorrelationRows(network, rho, on_redundancy=lambda: sets.append(1))
     everyone = np.arange(network.n_roads)
     for road in range(network.n_roads):
         np.testing.assert_array_equal(
             view.redundant(road, everyone, theta),
             dense[road] > theta + REDUNDANCY_SLACK,
         )
-    assert len(sets) == (1 if mode is PathWeightMode.LOG else 0)
+    assert len(sets) == 1
 
 
 @st.composite
@@ -105,22 +100,20 @@ def graphs(draw):
 
 
 class TestSetsMatchDense:
-    @pytest.mark.parametrize("mode", MODES)
     @settings(max_examples=120, deadline=None)
     @given(case=graphs())
-    def test_random_graphs(self, mode, case):
+    def test_random_graphs(self, case):
         network, rho, theta = case
-        _assert_matches_dense(network, rho, mode, theta)
+        _assert_matches_dense(network, rho, theta)
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("theta", [1.0, 0.999, 0.92, 0.5])
-    def test_unit_zero_and_disconnected_roads(self, mode, theta):
+    def test_unit_zero_and_disconnected_roads(self, theta):
         """A ρ = 1 chain 0-1-2 (the 1e-15 weight nudge), a zero-ρ edge
         2-3 and an isolated road 4."""
         network = _network(5, [(0, 1), (1, 2), (2, 3)])
         rho = np.array([1.0, 1.0, 0.0])
-        _assert_matches_dense(network, rho, mode, theta)
-        view = CorrelationRows(network, rho, mode)
+        _assert_matches_dense(network, rho, theta)
+        view = CorrelationRows(network, rho)
         everyone = np.arange(5)
         if theta == 1.0:
             assert not view.redundant(0, everyone, theta).any()
@@ -134,21 +127,20 @@ class TestSetsMatchDense:
 
     def test_edgeless_network(self):
         network = _network(3, [])
-        _assert_matches_dense(network, np.zeros(0), PathWeightMode.LOG, 0.5)
+        _assert_matches_dense(network, np.zeros(0), 0.5)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_fitted_slot(self, fitted_model, mode):
+    def test_every_fitted_slot(self, fitted_model):
         network = fitted_model.network
         for slot in fitted_model.slots:
             for theta in (0.92, 0.8, 0.6):
-                _assert_matches_dense(network, fitted_model.slot(slot).rho, mode, theta)
+                _assert_matches_dense(network, fitted_model.slot(slot).rho, theta)
 
     def test_bounded_chunks_cover_every_source(self, fitted_model, monkeypatch):
         """Memory stays O(pairs + chunk · n): the set is the same when
         the search runs a few sources at a time."""
         monkeypatch.setattr(correlation_module, "_REDUNDANCY_CHUNK_ENTRIES", 7 * 60)
         rho = fitted_model.slot(fitted_model.slots[0]).rho
-        _assert_matches_dense(fitted_model.network, rho, PathWeightMode.LOG, 0.6)
+        _assert_matches_dense(fitted_model.network, rho, 0.6)
 
     def test_rejects_bad_theta_and_source(self, fitted_model):
         network = fitted_model.network
@@ -216,10 +208,7 @@ def world(tiny_dataset, tiny_system):
     return {
         "data": data,
         "params": params,
-        "dense": {
-            mode: road_road_correlation_matrix(data.network, params.rho, mode)
-            for mode in MODES
-        },
+        "dense": road_road_correlation_matrix(data.network, params.rho),
         "candidates": candidates,
         "costs": data.cost_model.costs_of(candidates).astype(float),
     }
@@ -242,14 +231,13 @@ def _same(a, b):
 
 
 class TestSelectionsMatchDense:
-    @pytest.mark.parametrize("mode", MODES)
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(query=queries(), seed=st.integers(0, 2**16))
-    def test_every_solver_and_feasibility(self, world, mode, query, seed):
+    def test_every_solver_and_feasibility(self, world, query, seed):
         queried, budget, theta = query
 
         def instances(candidates, costs):
@@ -261,9 +249,9 @@ class TestSelectionsMatchDense:
                 theta=theta,
                 sigma=world["params"].sigma,
             )
-            view = CorrelationRows(world["data"].network, world["params"].rho, mode)
+            view = CorrelationRows(world["data"].network, world["params"].rho)
             return (
-                OCSInstance(corr=world["dense"][mode], **kwargs),
+                OCSInstance(corr=world["dense"], **kwargs),
                 OCSInstance(corr=view, **kwargs),
             )
 

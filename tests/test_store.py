@@ -7,14 +7,10 @@ import pytest
 
 import repro
 from repro import obs
-from repro.core.correlation import (
-    CorrelationTable,
-    PathWeightMode,
-    road_road_correlation_matrix,
-)
+from repro.core.correlation import road_road_correlation_matrix
 from repro.core.inference import empirical_slot_parameters
 from repro.core.rtf import RTFModel, params_signature
-from repro.core.store import ModelStore, SnapshotCorrelations
+from repro.core.store import ModelStore
 from repro.errors import ModelError, NotFittedError
 
 SLOTS = (91, 92, 93)
@@ -81,9 +77,7 @@ class TestLazyDerivation:
     def test_matrix_matches_eager_computation(self, store, multi_world):
         snapshot = store.current()
         params = multi_world["model"].slot(92)
-        expected = road_road_correlation_matrix(
-            multi_world["network"], params.rho, PathWeightMode.LOG
-        )
+        expected = road_road_correlation_matrix(multi_world["network"], params.rho)
         np.testing.assert_allclose(snapshot.correlation_matrix(92), expected)
 
     def test_derived_once_then_hits(self, store):
@@ -114,50 +108,9 @@ class TestLazyDerivation:
         snapshot.correlation_matrix(91)
         assert store.stats.correlation_derivations == 3
 
-    def test_seeded_matrix_is_not_rederived(self, store, multi_world):
-        snapshot = store.current()
-        params = multi_world["model"].slot(91)
-        matrix = road_road_correlation_matrix(
-            multi_world["network"], params.rho, PathWeightMode.LOG
-        )
-        store.seed_correlation(snapshot.digest(91), matrix)
-        assert snapshot.correlation_matrix(91) is matrix
-        assert store.stats.correlation_derivations == 0
-        assert store.stats.correlation_hits == 1
-
-    def test_seed_shape_validated(self, store):
-        with pytest.raises(ModelError):
-            store.seed_correlation(b"x" * 20, np.zeros((2, 2)))
-
-
-class TestSnapshotCorrelations:
-    def test_is_a_correlation_table(self, store):
-        table = store.current().correlations
-        assert isinstance(table, SnapshotCorrelations)
-        assert isinstance(table, CorrelationTable)
-        assert table.slots == SLOTS
-        assert table.mode is PathWeightMode.LOG
-
-    def test_eq11_13_match_eager_table(self, store, multi_world):
-        lazy = store.current().correlations
-        eager = CorrelationTable.precompute(multi_world["model"], slots=[92])
-        n = multi_world["network"].n_roads
-        queried, selected = [0, 3, 7], [5, 11]
-        sigma = multi_world["model"].slot(92).sigma
-        assert lazy.road_set(92, 3, selected) == pytest.approx(
-            eager.road_set(92, 3, selected)
-        )
-        assert lazy.set_set(92, queried, selected) == pytest.approx(
-            eager.set_set(92, queried, selected)
-        )
-        assert lazy.weighted_correlation(
-            92, queried, selected, sigma
-        ) == pytest.approx(eager.weighted_correlation(92, queried, selected, sigma))
-        assert lazy.digest(92) == eager.digest(92)
-
     def test_missing_slot_raises(self, store):
         with pytest.raises(NotFittedError):
-            store.current().correlations.matrix(17)
+            store.current().correlation_matrix(17)
 
 
 class TestPublish:

@@ -3,9 +3,9 @@
 
 Emits one line per public name in ``repro.__all__``::
 
-    repro.CrowdRTSE class
+    repro.CrowdRTSE class (network, model=?, *, store=?)
     repro.CrowdRTSE.answer_query method (self, request, *, market=?, truth=?, ...)
-    repro.propagate function (network, slot_params, correlations, probes, *, config=?)
+    repro.propagate function (network, params, observed, config=?)
 
 The output is the *contract*: ``docs/api_surface_v2.txt`` holds the
 golden copy and CI diffs a fresh dump against it, so any accidental
