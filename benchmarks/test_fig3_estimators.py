@@ -1,6 +1,7 @@
 """Figure 3 bench: estimation quality of GSP vs LASSO vs GRMC vs Per.
 
-Benchmarks each estimator on an identical probe set and regenerates the
+Benchmarks each estimator's backend (``rtf_gsp``, ``lasso``, ``grmc``,
+``per``) on an identical probe set and regenerates the
 quality grid's key shapes: GSP wins MAPE and FER at the smallest budget
 (columns a1/a2), Hybrid selection beats Random for GSP (column d), and
 the tuned θ never hurts at small K (column e).
@@ -9,39 +10,33 @@ the tuned θ never hurts at small K (column e).
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    EstimationContext,
-    GRMCEstimator,
-    GSPEstimator,
-    LassoEstimator,
-    PeriodicEstimator,
-)
 from repro.eval.metrics import mean_absolute_percentage_error
 from repro.experiments import figure3
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import (
+    ESTIMATOR_LABELS,
+    ExperimentScale,
+    attach_backends,
+)
 
 QUICK = ExperimentScale.QUICK
 
-_ESTIMATORS = {
-    "GSP": GSPEstimator,
-    "LASSO": LassoEstimator,
-    "GRMC": GRMCEstimator,
-    "Per": PeriodicEstimator,
-}
+#: Figure label → backend name.
+_BACKENDS = {label: name for name, label in ESTIMATOR_LABELS.items()}
 
 
-@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("name", sorted(_BACKENDS))
 def test_fig3_estimator_quality(benchmark, name, semisyn, semisyn_system, semisyn_probe):
-    """Benchmark one estimator on a realized probe set."""
+    """Benchmark one estimator's backend on a realized probe set."""
     result, truth = semisyn_probe
-    context = EstimationContext(
-        network=semisyn.network,
-        history_samples=semisyn.train_history.slot_samples(semisyn.slot),
-        probes=result.probes,
-        slot_params=semisyn_system.model.slot(semisyn.slot),
-    )
-    estimator = _ESTIMATORS[name]()
-    field = benchmark(estimator.estimate, context)
+    backend = _BACKENDS[name]
+    attach_backends(semisyn_system, semisyn, [backend])
+
+    def estimate():
+        return semisyn_system.estimate_with_backend(
+            backend, result.probes, semisyn.slot
+        ).speeds
+
+    field = benchmark(estimate)
     queried = list(semisyn.queried)
     truths = np.array([truth(q) for q in queried])
     mape = mean_absolute_percentage_error(field[queried], truths)

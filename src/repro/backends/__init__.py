@@ -8,9 +8,9 @@ backend factories, and the built-in backends:
 name      estimator
 ========  =====================================================
 rtf_gsp   The paper's RTF model + GSP propagation (default).
-per       Periodic historical-mean baseline (offline shim).
-lasso     LASSO regression baseline (offline shim).
-grmc      Graph-regularized matrix completion (offline shim).
+per       Periodic historical-mean baseline (offline adapter).
+lasso     LASSO regression baseline (offline adapter).
+grmc      Graph-regularized matrix completion (offline adapter).
 lsmrn     LSM-RN-style latent-space model (arXiv:1602.04301).
 gmrf      GMRF field reconstruction (arXiv:1306.6482).
 ========  =====================================================
@@ -23,6 +23,8 @@ per request via ``EstimationRequest.backend``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.backends.base import (
     BackendEstimate,
@@ -48,27 +50,22 @@ from repro.backends.registry import (
     unregister_backend,
 )
 from repro.backends.rtf_gsp import RTFGSPBackend, RTFGSPState
+from repro.baselines import grmc_field, lasso_field, per_field
 from repro.network.graph import TrafficNetwork
 
 
 def _make_per(network: TrafficNetwork) -> OfflineBackend:
-    from repro.baselines import PeriodicEstimator
-
-    return OfflineBackend(network, PeriodicEstimator(), name="per")
+    return OfflineBackend(network, per_field, name="per")
 
 
 def _make_lasso(network: TrafficNetwork) -> OfflineBackend:
-    from repro.baselines import LassoEstimator
-
-    return OfflineBackend(network, LassoEstimator(alpha=0.1), name="lasso")
+    return OfflineBackend(network, partial(lasso_field, alpha=0.1), name="lasso")
 
 
 def _make_grmc(network: TrafficNetwork) -> OfflineBackend:
-    from repro.baselines import GRMCEstimator
-
     return OfflineBackend(
         network,
-        GRMCEstimator(rank=10, reg=0.1, n_iterations=10),
+        partial(grmc_field, rank=10, reg=0.1, n_iterations=10),
         name="grmc",
     )
 

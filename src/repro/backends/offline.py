@@ -1,17 +1,17 @@
-"""Offline-baseline shim: serve EstimationContext estimators as backends.
+"""Offline baselines as backends: one adapter around a field function.
 
-The baselines in :mod:`repro.baselines` (Per, LASSO, GRMC, …) consume a
-per-query :class:`~repro.baselines.base.EstimationContext` built from
-the query slot's history samples.  This adapter gives them the runtime
-lifecycle for free:
+The baselines in :mod:`repro.baselines` (Per, LASSO, GRMC, …) are pure
+field functions of the query slot's history window and the probes
+(:data:`~repro.baselines.base.FieldFn`).  This adapter gives them the
+runtime lifecycle:
 
 * ``fit`` copies each fitted slot's ``(n_days, n_roads)`` sample matrix
   into the state blob (bounded by ``window``);
 * ``refresh`` appends the day's speed row to every touched slot and
   trims to the window, so the baselines track the live distribution the
   way the RTF moments do;
-* ``estimate`` assembles the context from the state plus the probes and
-  delegates to the wrapped estimator.
+* ``estimate`` calls the function on the slot's window and the probes
+  the template has already validated.
 
 The blob is a plain mapping of float arrays — picklable, digestable,
 and cheap to copy-on-write (only touched slots get new arrays).
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import EstimatorBackend
-from repro.baselines.base import BaseEstimator, EstimationContext
+from repro.baselines.base import FieldFn
 from repro.errors import BackendError, NotFittedError
 from repro.network.graph import TrafficNetwork
 from repro.traffic.history import SpeedHistory
@@ -43,12 +43,12 @@ class OfflineState:
 
 
 class OfflineBackend(EstimatorBackend):
-    """Adapts one :class:`BaseEstimator` to the backend protocol."""
+    """Serves one baseline field function through the backend protocol."""
 
     def __init__(
         self,
         network: TrafficNetwork,
-        estimator: BaseEstimator,
+        field_fn: FieldFn,
         name: str,
         window: int = 64,
     ) -> None:
@@ -58,13 +58,8 @@ class OfflineBackend(EstimatorBackend):
                 f"backend {name!r}: window must be >= 1, got {window}"
             )
         self.name = name
-        self._estimator = estimator
+        self._field_fn = field_fn
         self._window = int(window)
-
-    @property
-    def estimator(self) -> BaseEstimator:
-        """The wrapped offline estimator."""
-        return self._estimator
 
     def _fit(self, history: SpeedHistory, slots: Sequence[int]) -> OfflineState:
         n = self._network.n_roads
@@ -121,14 +116,8 @@ class OfflineBackend(EstimatorBackend):
                 f"backend {self.name!r}: slot {slot} not fitted "
                 f"(available: {sorted(offline.slot_samples)})"
             )
-        context = EstimationContext(
-            network=self._network,
-            history_samples=samples,
-            probes=probes,
-        )
-        speeds = self._estimator.estimate(context)
+        speeds = self._field_fn(self._network, samples, probes)
         return np.asarray(speeds, dtype=float), {
-            "estimator": self._estimator.name,
             "history_days": int(samples.shape[0]),
         }
 

@@ -1,47 +1,45 @@
 """Baseline estimators the paper compares against (§VII-C).
 
-* :class:`PeriodicEstimator` ("Per") — historical periodic means only.
-* :class:`LassoEstimator` ("LASSO") — per-road L1 regression on the
-  probed roads, solved with our own coordinate-descent lasso.
-* :class:`GRMCEstimator` ("GRMC") — graph-regularized matrix completion
+Each baseline is a pure field function ``field(network, samples,
+probes) -> speeds`` (:data:`FieldFn`); the registered backends ``per``,
+``lasso`` and ``grmc`` serve them through
+:class:`~repro.backends.offline.OfflineBackend`, so the paper's figures
+score them through the same backend protocol as GSP (``rtf_gsp``).
+
+* :func:`per_field` ("Per") — historical periodic means only.
+* :func:`lasso_field` ("LASSO") — per-road L1 regression on the probed
+  roads, solved with our own coordinate-descent lasso.
+* :func:`grmc_field` ("GRMC") — graph-regularized matrix completion
   via alternating least squares with a Laplacian smoothness term.
-* :class:`GSPEstimator` — the paper's method wrapped in the same
-  interface, so harnesses can iterate over all estimators uniformly.
-* :class:`HopWeightedEstimator` — an extra distance-decay baseline used
-  by the ablation benches (not in the paper).
+* :func:`knn_field` and :func:`hop_weighted_field` — extra baselines
+  used by the ablation benches (not in the paper, not registered).
 """
 
-from repro.baselines.base import BaseEstimator, EstimationContext
-from repro.baselines.periodic import PeriodicEstimator, periodic_field
+from repro.baselines.base import FieldFn, observed_probes
+from repro.baselines.periodic import per_field, periodic_field
 from repro.baselines.lasso import (
-    LassoEstimator,
     LassoFieldModel,
-    LassoModel,
-    fit_lasso,
     fit_lasso_field,
     lasso_coordinate_descent,
     lasso_coordinate_descent_multi,
+    lasso_field,
 )
-from repro.baselines.grmc import GRMCEstimator, graph_laplacian
-from repro.baselines.gsp_wrapper import GSPEstimator
-from repro.baselines.hopweighted import HopWeightedEstimator
-from repro.baselines.knn_temporal import TemporalKNNEstimator
+from repro.baselines.grmc import graph_laplacian, grmc_field
+from repro.baselines.hopweighted import hop_weighted_field
+from repro.baselines.knn_temporal import knn_field
 
 __all__ = [
-    "TemporalKNNEstimator",
-    "BaseEstimator",
-    "EstimationContext",
-    "PeriodicEstimator",
-    "periodic_field",
-    "LassoEstimator",
+    "FieldFn",
     "LassoFieldModel",
-    "LassoModel",
-    "fit_lasso",
     "fit_lasso_field",
+    "graph_laplacian",
+    "grmc_field",
+    "hop_weighted_field",
+    "knn_field",
     "lasso_coordinate_descent",
     "lasso_coordinate_descent_multi",
-    "GRMCEstimator",
-    "graph_laplacian",
-    "GSPEstimator",
-    "HopWeightedEstimator",
+    "lasso_field",
+    "observed_probes",
+    "per_field",
+    "periodic_field",
 ]

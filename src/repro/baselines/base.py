@@ -1,89 +1,34 @@
-"""Common estimator interface.
+"""The one signature every baseline field function shares.
 
-All realtime-speed estimators — GSP and every baseline — consume the
-same :class:`EstimationContext`: the query-slot history (used as
-training data), the crowdsourced probes, and optionally the fitted RTF
-slot parameters.  They return a full per-road speed field.
+A baseline is a pure function ``field(network, samples, probes)``:
+``samples`` is the query slot's ``(n_days, n_roads)`` history window,
+``probes`` the road → km/h mapping an
+:class:`~repro.backends.base.EstimatorBackend` has already validated,
+and the result one speed per road.
+:class:`~repro.backends.offline.OfflineBackend` serves any such function
+as a backend; hyperparameters are keyword arguments, bound with
+:func:`functools.partial`.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError
-from repro.core.rtf import RTFSlot
 from repro.network.graph import TrafficNetwork
 
+#: ``(network, samples, probes) -> speeds`` of shape ``(n_roads,)``.
+FieldFn = Callable[[TrafficNetwork, np.ndarray, Mapping[int, float]], np.ndarray]
 
-@dataclass(frozen=True)
-class EstimationContext:
-    """Everything an estimator may use for one query.
 
-    Attributes:
-        network: Road graph.
-        history_samples: Per-day speeds of the query slot, shape
-            ``(n_days, n_roads)`` — the offline training data.
-        probes: Aggregated crowd answers, road index → km/h.
-        slot_params: Fitted RTF parameters of the slot (``None`` for
-            estimators that do not use the model).
+def observed_probes(probes: Mapping[int, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Probed road indices in sorted order, and their values aligned.
+
+    Every baseline reads probes in this order; LASSO's coordinate
+    descent visits the probe columns in it, so the order is part of its
+    answer.
     """
-
-    network: TrafficNetwork
-    history_samples: np.ndarray
-    probes: Mapping[int, float]
-    slot_params: Optional[RTFSlot] = None
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.history_samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[1] != self.network.n_roads:
-            raise ModelError(
-                f"history_samples must have shape (n_days, {self.network.n_roads}), "
-                f"got {samples.shape}"
-            )
-        for road, value in self.probes.items():
-            if not 0 <= int(road) < self.network.n_roads:
-                raise ModelError(f"probe road {road} outside the network")
-            if value <= 0 or not np.isfinite(value):
-                raise ModelError(f"probe value {value} for road {road} is invalid")
-
-    @property
-    def n_roads(self) -> int:
-        """Number of roads in the network."""
-        return self.network.n_roads
-
-    @property
-    def observed_indices(self) -> np.ndarray:
-        """Probed road indices, sorted."""
-        return np.array(sorted(int(r) for r in self.probes), dtype=int)
-
-    @property
-    def observed_values(self) -> np.ndarray:
-        """Probe values aligned with :attr:`observed_indices`."""
-        return np.array(
-            [float(self.probes[int(r)]) for r in self.observed_indices]
-        )
-
-
-class BaseEstimator(abc.ABC):
-    """A realtime traffic-speed estimator."""
-
-    #: Short name used in experiment tables ("GSP", "LASSO", ...).
-    name: str = "base"
-
-    @abc.abstractmethod
-    def estimate(self, context: EstimationContext) -> np.ndarray:
-        """Estimate the full per-road speed field for one query.
-
-        Args:
-            context: History, probes, and optional RTF parameters.
-
-        Returns:
-            Array of shape ``(n_roads,)`` in km/h.
-        """
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
+    indices = np.array(sorted(int(r) for r in probes), dtype=int)
+    values = np.array([float(probes[int(r)]) for r in indices])
+    return indices, values

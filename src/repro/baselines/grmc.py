@@ -19,13 +19,13 @@ The completed last row is the estimate; probed roads keep their probes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ModelError
-from repro.baselines.base import BaseEstimator, EstimationContext
+from repro.baselines.base import observed_probes
 from repro.network.graph import TrafficNetwork
 
 
@@ -43,10 +43,24 @@ def graph_laplacian(network: TrafficNetwork) -> sp.csr_matrix:
     return sp.diags(degrees) + adjacency
 
 
-class GRMCEstimator(BaseEstimator):
-    """ALS-based graph-regularized matrix completion.
+def grmc_field(
+    network: TrafficNetwork,
+    samples: np.ndarray,
+    probes: Mapping[int, float],
+    *,
+    rank: int = 10,
+    reg: float = 0.1,
+    gamma: float = 0.1,
+    n_iterations: int = 15,
+    v_sweeps: int = 2,
+    seed: Optional[int] = 7,
+) -> np.ndarray:
+    """ALS-based graph-regularized matrix completion of the probe row.
 
     Args:
+        network: Road graph (its Laplacian couples the road factors).
+        samples: History window, shape ``(n_days, n_roads)``.
+        probes: Probed speeds by road index.
         rank: Latent dimension (paper tunes 5–20; best 10).
         reg: Frobenius regularization λ (paper's L1-ish reg, best 0.1).
         gamma: Graph-smoothness weight γ.
@@ -54,100 +68,91 @@ class GRMCEstimator(BaseEstimator):
         v_sweeps: Gauss–Seidel sweeps inside each V update.
         seed: RNG seed for factor initialization.
     """
+    if rank <= 0:
+        raise ModelError(f"rank must be positive, got {rank}")
+    if reg < 0 or gamma < 0:
+        raise ModelError("reg and gamma must be >= 0")
+    if n_iterations <= 0 or v_sweeps <= 0:
+        raise ModelError("iteration counts must be positive")
+    samples = np.asarray(samples, dtype=np.float64)
+    n_days, n_roads = samples.shape
+    observed, values = observed_probes(probes)
 
-    name = "GRMC"
+    # Build the stacked matrix: history rows are fully observed, the
+    # final (current) row only at the probed roads.
+    current = np.zeros(n_roads)
+    mask_current = np.zeros(n_roads, dtype=bool)
+    if observed.size:
+        current[observed] = values
+        mask_current[observed] = True
+    matrix = np.vstack([samples, current[None, :]])
+    mask = np.vstack(
+        [np.ones((n_days, n_roads), dtype=bool), mask_current[None, :]]
+    )
 
-    def __init__(
-        self,
-        rank: int = 10,
-        reg: float = 0.1,
-        gamma: float = 0.1,
-        n_iterations: int = 15,
-        v_sweeps: int = 2,
-        seed: Optional[int] = 7,
-    ) -> None:
-        if rank <= 0:
-            raise ModelError(f"rank must be positive, got {rank}")
-        if reg < 0 or gamma < 0:
-            raise ModelError("reg and gamma must be >= 0")
-        if n_iterations <= 0 or v_sweeps <= 0:
-            raise ModelError("iteration counts must be positive")
-        self._rank = rank
-        self._reg = reg
-        self._gamma = gamma
-        self._n_iterations = n_iterations
-        self._v_sweeps = v_sweeps
-        self._seed = seed
+    # Column-centre with the history mean so the factors model the
+    # fluctuation around the periodic level (improves low-rank fit).
+    column_mean = samples.mean(axis=0)
+    matrix = matrix - column_mean[None, :]
 
-    def estimate(self, context: EstimationContext) -> np.ndarray:
-        samples = np.asarray(context.history_samples, dtype=np.float64)
-        n_days, n_roads = samples.shape
-        observed = context.observed_indices
+    completed = _complete(
+        matrix, mask, network, rank, reg, gamma, n_iterations, v_sweeps, seed
+    )
+    estimates = completed[-1] + column_mean
+    if observed.size:
+        estimates[observed] = values
+    return np.maximum(estimates, 0.5)
 
-        # Build the stacked matrix: history rows are fully observed, the
-        # final (current) row only at the probed roads.
-        current = np.zeros(n_roads)
-        mask_current = np.zeros(n_roads, dtype=bool)
-        if observed.size:
-            current[observed] = context.observed_values
-            mask_current[observed] = True
-        matrix = np.vstack([samples, current[None, :]])
-        mask = np.vstack(
-            [np.ones((n_days, n_roads), dtype=bool), mask_current[None, :]]
-        )
 
-        # Column-centre with the history mean so the factors model the
-        # fluctuation around the periodic level (improves low-rank fit).
-        column_mean = samples.mean(axis=0)
-        matrix = matrix - column_mean[None, :]
+def _complete(
+    matrix: np.ndarray,
+    mask: np.ndarray,
+    network: TrafficNetwork,
+    rank: int,
+    reg: float,
+    gamma: float,
+    n_iterations: int,
+    v_sweeps: int,
+    seed: Optional[int],
+) -> np.ndarray:
+    m, n = matrix.shape
+    k = min(rank, m, n)
+    rng = np.random.default_rng(seed)
+    factors_u = rng.normal(scale=0.1, size=(m, k))
+    factors_v = rng.normal(scale=0.1, size=(n, k))
+    laplacian = graph_laplacian(network).tocsr()
+    eye_k = np.eye(k)
 
-        completed = self._complete(matrix, mask, context.network)
-        estimates = completed[-1] + column_mean
-        if observed.size:
-            estimates[observed] = context.observed_values
-        return np.maximum(estimates, 0.5)
-
-    def _complete(
-        self, matrix: np.ndarray, mask: np.ndarray, network: TrafficNetwork
-    ) -> np.ndarray:
-        m, n = matrix.shape
-        k = min(self._rank, m, n)
-        rng = np.random.default_rng(self._seed)
-        factors_u = rng.normal(scale=0.1, size=(m, k))
-        factors_v = rng.normal(scale=0.1, size=(n, k))
-        laplacian = graph_laplacian(network).tocsr()
-        eye_k = np.eye(k)
-
-        for _ in range(self._n_iterations):
-            # --- U update: rows are independent.
-            for i in range(m):
-                cols = np.nonzero(mask[i])[0]
-                if cols.size == 0:
-                    factors_u[i] = 0.0
-                    continue
-                v_obs = factors_v[cols]
-                lhs = v_obs.T @ v_obs + self._reg * eye_k
-                rhs = v_obs.T @ matrix[i, cols]
-                factors_u[i] = np.linalg.solve(lhs, rhs)
-            # --- V update: Laplacian couples the rows; Gauss-Seidel.
-            for _ in range(self._v_sweeps):
-                for j in range(n):
-                    rows = np.nonzero(mask[:, j])[0]
-                    start, end = laplacian.indptr[j], laplacian.indptr[j + 1]
-                    neighbor_cols = laplacian.indices[start:end]
-                    neighbor_vals = laplacian.data[start:end]
-                    diag = 0.0
-                    coupling = np.zeros(k)
-                    for col, val in zip(neighbor_cols, neighbor_vals):
-                        if col == j:
-                            diag = val
-                        else:
-                            coupling += val * factors_v[col]
-                    lhs = self._reg * eye_k + self._gamma * diag * eye_k
-                    rhs = -self._gamma * coupling
-                    if rows.size:
-                        u_obs = factors_u[rows]
-                        lhs = lhs + u_obs.T @ u_obs
-                        rhs = rhs + u_obs.T @ matrix[rows, j]
-                    factors_v[j] = np.linalg.solve(lhs, rhs)
-        return factors_u @ factors_v.T
+    for _ in range(n_iterations):
+        # --- U update: rows are independent.
+        for i in range(m):
+            cols = np.nonzero(mask[i])[0]
+            if cols.size == 0:
+                factors_u[i] = 0.0
+                continue
+            v_obs = factors_v[cols]
+            lhs = v_obs.T @ v_obs + reg * eye_k
+            rhs = v_obs.T @ matrix[i, cols]
+            factors_u[i] = np.linalg.solve(lhs, rhs)
+        # --- V update: Laplacian couples the rows; Gauss-Seidel.
+        for _ in range(v_sweeps):
+            for j in range(n):
+                rows = np.nonzero(mask[:, j])[0]
+                start, end = laplacian.indptr[j], laplacian.indptr[j + 1]
+                neighbor_cols = laplacian.indices[start:end]
+                neighbor_vals = laplacian.data[start:end]
+                diag = 0.0
+                coupling = np.zeros(k)
+                for col, val in zip(neighbor_cols, neighbor_vals):
+                    if col == j:
+                        diag = val
+                    else:
+                        coupling += val * factors_v[col]
+                lhs = reg * eye_k + gamma * diag * eye_k
+                rhs = -gamma * coupling
+                if rows.size:
+                    u_obs = factors_u[rows]
+                    lhs = lhs + u_obs.T @ u_obs
+                    rhs = rhs + u_obs.T @ matrix[rows, j]
+                factors_v[j] = np.linalg.solve(lhs, rhs)
+    return factors_u @ factors_v.T

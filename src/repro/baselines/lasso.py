@@ -8,23 +8,28 @@ of the probe columns is shared across all target roads, so one query
 costs one ``O(S p^2)`` Gram build plus ``n`` cheap coordinate-descent
 solves (``p = |R^c|`` probes, ``S`` history days).
 
-No external ML library is used: :func:`lasso_coordinate_descent` is a
-standard cyclic coordinate descent on the objective
+No external ML library is used: :func:`lasso_coordinate_descent_multi`
+runs a standard cyclic coordinate descent on the objective
 
 .. math::
 
     \\frac{1}{2S} \\lVert y - X\\beta \\rVert_2^2
-    + \\alpha \\lVert \\beta \\rVert_1 .
+    + \\alpha \\lVert \\beta \\rVert_1
+
+for every target road at once; :func:`lasso_coordinate_descent` is its
+single-target reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from repro.baselines.base import observed_probes
 from repro.errors import ModelError
-from repro.baselines.base import BaseEstimator, EstimationContext
+from repro.network.graph import TrafficNetwork
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -158,55 +163,12 @@ def lasso_coordinate_descent_multi(
 
 
 @dataclass(frozen=True)
-class LassoModel:
-    """A fitted single-target lasso: ``y ≈ intercept + X @ coef``."""
-
-    coef: np.ndarray
-    intercept: float
-    feature_means: np.ndarray
-
-    def predict(self, features: np.ndarray) -> float:
-        """Predict for one feature vector (raw, uncentred)."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape != self.coef.shape:
-            raise ModelError(
-                f"feature shape {features.shape} != coef shape {self.coef.shape}"
-            )
-        return float(self.intercept + (features - self.feature_means) @ self.coef)
-
-
-def fit_lasso(
-    design: np.ndarray,
-    target: np.ndarray,
-    alpha: float,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> LassoModel:
-    """Fit one lasso from raw (uncentred) data."""
-    design = np.asarray(design, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if design.ndim != 2 or target.ndim != 1 or design.shape[0] != target.shape[0]:
-        raise ModelError(
-            f"bad shapes: design {design.shape}, target {target.shape}"
-        )
-    n_samples = design.shape[0]
-    x_mean = design.mean(axis=0)
-    y_mean = float(target.mean())
-    x_centered = design - x_mean
-    gram = x_centered.T @ x_centered / n_samples
-    corr = x_centered.T @ (target - y_mean) / n_samples
-    beta = lasso_coordinate_descent(gram, corr, alpha, max_iter, tol)
-    return LassoModel(coef=beta, intercept=y_mean, feature_means=x_mean)
-
-
-@dataclass(frozen=True)
 class LassoFieldModel:
     """A fitted multi-target lasso: probe values → full speed field.
 
-    Unlike :class:`LassoEstimator` (which carries only hyperparameters),
-    this is the *fitted state*: plain arrays, frozen and picklable, so a
-    model store or estimator backend can serialize it and predict later
-    without refitting.
+    The *fitted state* of :func:`lasso_field`: plain arrays, frozen and
+    picklable, so a model store or estimator backend can serialize it
+    and predict later without refitting.
 
     Attributes:
         observed: Probe column indices the model was fitted on.
@@ -276,46 +238,26 @@ def fit_lasso_field(
     )
 
 
-class LassoEstimator(BaseEstimator):
+def lasso_field(
+    network: TrafficNetwork,
+    samples: np.ndarray,
+    probes: Mapping[int, float],
+    *,
+    alpha: float = 0.1,
+) -> np.ndarray:
     """Per-road lasso on the probed roads (the paper's LASSO baseline).
 
-    The estimator carries hyperparameters only; each query fits a
-    :class:`LassoFieldModel` (the serializable state) via
-    :func:`fit_lasso_field` and predicts from it.
+    Fits a :class:`LassoFieldModel` on the history window's probe
+    columns (:func:`fit_lasso_field`) and predicts from the probes.
 
     Args:
+        network: Road graph (unused: the regression ignores structure).
+        samples: History window, shape ``(n_days, n_roads)``.
+        probes: Probed speeds by road index.
         alpha: L1 penalty; the paper tunes within 0–0.5 and settles on
             0.1.
-        max_iter: Coordinate-descent sweep cap per target.
-        tol: Coordinate-descent convergence tolerance.
     """
-
-    name = "LASSO"
-
-    def __init__(
-        self,
-        alpha: float = 0.1,
-        max_iter: int = 60,
-        tol: float = 1e-5,
-        warm_start: bool = True,
-    ) -> None:
-        if alpha < 0:
-            raise ModelError(f"alpha must be >= 0, got {alpha}")
-        self._alpha = alpha
-        self._max_iter = max_iter
-        self._tol = tol
-        self._warm_start = warm_start
-
-    def fit_field(self, context: EstimationContext) -> LassoFieldModel:
-        """The fitted (picklable) field model for one query's probes."""
-        return fit_lasso_field(
-            np.asarray(context.history_samples, dtype=np.float64),
-            context.observed_indices,
-            self._alpha,
-            self._max_iter,
-            self._tol,
-            warm_start=self._warm_start,
-        )
-
-    def estimate(self, context: EstimationContext) -> np.ndarray:
-        return self.fit_field(context).predict(context.observed_values)
+    if alpha < 0:
+        raise ModelError(f"alpha must be >= 0, got {alpha}")
+    observed, values = observed_probes(probes)
+    return fit_lasso_field(samples, observed, alpha).predict(values)

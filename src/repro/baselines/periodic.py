@@ -1,49 +1,36 @@
 """The "Per" baseline: purely periodic estimation.
 
-Returns the per-road historical mean of the query slot (or the fitted
-RTF mean when available), ignoring the crowdsourced probes entirely —
-exactly the paper's Per, which "purely relies on the periodicity"
-(§VII-C).  It is the strongest possible method when days repeat
-perfectly and the weakest when incidents strike.
+Per answers each road's historical mean speed of the query slot and
+ignores the crowdsourced probes entirely — exactly the paper's Per,
+which "purely relies on the periodicity" (§VII-C).  It is the strongest
+possible method when days repeat perfectly and the weakest when
+incidents strike.
 
-:func:`periodic_field` is the same computation as a standalone function
-over fitted slot parameters; the serving layer's graceful-degradation
-path calls it directly when a deadline or budget forces a query to fall
-back to Per (see :mod:`repro.serve`).
+* :func:`per_field` is the ``per`` backend's field function: the mean
+  of the backend's history window.
+* :func:`periodic_field` is the same estimate from fitted slot
+  parameters (a copy of μ); the serving layer's graceful-degradation
+  path calls it when a deadline or budget forces a query to fall back
+  to Per (see :mod:`repro.serve`).
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
-from repro.baselines.base import BaseEstimator, EstimationContext
 from repro.core.rtf import RTFSlot
+from repro.network.graph import TrafficNetwork
+
+
+def per_field(
+    network: TrafficNetwork, samples: np.ndarray, probes: Mapping[int, float]
+) -> np.ndarray:
+    """The Per estimate of a history window: each road's mean speed."""
+    return np.asarray(samples, dtype=np.float64).mean(axis=0)
 
 
 def periodic_field(slot_params: RTFSlot) -> np.ndarray:
-    """The Per estimate from fitted slot parameters: a copy of μ.
-
-    One shared definition so the :class:`PeriodicEstimator` baseline and
-    the serving layer's degraded fallback provably return the same
-    numbers (tests assert the equivalence).
-    """
+    """The Per estimate from fitted slot parameters: a copy of μ."""
     return slot_params.mu.astype(np.float64).copy()
-
-
-class PeriodicEstimator(BaseEstimator):
-    """Historical periodic mean, no realtime data."""
-
-    name = "Per"
-
-    def __init__(self, use_model_mu: bool = True) -> None:
-        """Args:
-            use_model_mu: Prefer the fitted RTF ``mu`` when the context
-                carries slot parameters; otherwise (or when False) fall
-                back to the raw history mean.
-        """
-        self._use_model_mu = use_model_mu
-
-    def estimate(self, context: EstimationContext) -> np.ndarray:
-        if self._use_model_mu and context.slot_params is not None:
-            return periodic_field(context.slot_params)
-        return np.asarray(context.history_samples, dtype=np.float64).mean(axis=0)

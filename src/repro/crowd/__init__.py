@@ -12,22 +12,10 @@ from repro.crowd.cost import CostModel, kind_based_costs, uniform_random_costs
 from repro.crowd.aggregation import Aggregator, aggregate_answers
 from repro.crowd.market import BudgetLedger, CrowdMarket, ProbeReceipt
 from repro.crowd.mobility import MobilityModel, stationary_coverage_estimate
-from repro.crowd.trajectory_probe import TrajectoryProbeCollector
-from repro.crowd.reliability import (
-    collect_answer_history,
-    estimate_costs_from_answers,
-    estimate_worker_noise,
-    required_answers,
-)
 
 __all__ = [
-    "collect_answer_history",
-    "estimate_costs_from_answers",
-    "estimate_worker_noise",
-    "required_answers",
     "MobilityModel",
     "stationary_coverage_estimate",
-    "TrajectoryProbeCollector",
     "Worker",
     "WorkerPool",
     "CostModel",

@@ -11,11 +11,8 @@ from repro.eval.metrics import (
 )
 from repro.eval.coverage import k_hop_coverage, coverage_report
 from repro.eval.calibration import ThetaCalibrationResult, tune_theta
-from repro.eval.significance import BootstrapResult, paired_bootstrap
 
 __all__ = [
-    "BootstrapResult",
-    "paired_bootstrap",
     "ThetaCalibrationResult",
     "tune_theta",
     "DEFAULT_FER_THRESHOLD",

@@ -11,7 +11,6 @@ from repro.experiments.common import (
     ExperimentScale,
     default_gmission,
     default_semisyn,
-    estimator_suite,
     fit_system,
     ocs_instance_for,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ExperimentScale",
     "default_gmission",
     "default_semisyn",
-    "estimator_suite",
     "fit_system",
     "ocs_instance_for",
 ]

@@ -8,20 +8,15 @@ rebuild the 607-road world repeatedly.
 from __future__ import annotations
 
 import enum
+import time
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backends.registry import DEFAULT_BACKEND
 from repro.errors import ExperimentError
-from repro.baselines import (
-    BaseEstimator,
-    EstimationContext,
-    GRMCEstimator,
-    GSPEstimator,
-    LassoEstimator,
-    PeriodicEstimator,
-)
 from repro.core.ocs import OCSInstance
 from repro.core.pipeline import CrowdRTSE
 from repro.core.request import EstimationRequest
@@ -112,14 +107,27 @@ def dataset_by_name(name: str, scale: ExperimentScale) -> Dataset:
     raise ExperimentError(f"unknown dataset {name!r}")
 
 
-def estimator_suite() -> Tuple[BaseEstimator, ...]:
-    """The four estimators Fig. 3/6 compare."""
-    return (
-        GSPEstimator(),
-        LassoEstimator(alpha=0.1),
-        GRMCEstimator(rank=10, reg=0.1, n_iterations=10),
-        PeriodicEstimator(),
-    )
+#: Table label of each backend the paper's Fig. 3, 4(b) and 6 compare,
+#: in the figures' row order.
+ESTIMATOR_LABELS: Dict[str, str] = {
+    "rtf_gsp": "GSP",
+    "lasso": "LASSO",
+    "grmc": "GRMC",
+    "per": "Per",
+}
+
+
+def attach_backends(
+    system: CrowdRTSE, data: Dataset, names: Sequence[str]
+) -> None:
+    """Fit every named backend the system does not serve yet and attach it.
+
+    Backends fit on the dataset's training history, over the system's
+    fitted slots; the built-in ``rtf_gsp`` needs no attach.
+    """
+    for name in names:
+        if name not in system.store.attached_backends:
+            system.attach_backend(name, history=data.train_history)
 
 
 def ocs_instance_for(
@@ -165,6 +173,21 @@ def evaluation_days(data: Dataset, n_trials: int) -> List[int]:
     return [day % n_days for day in range(n_trials)]
 
 
+@dataclass(frozen=True)
+class TrialOutcome:
+    """One estimation trial scored over the queried roads ``R^q``.
+
+    Attributes:
+        truths: True speed of each queried road.
+        estimates: Backend name → its estimate of each queried road.
+        seconds: Backend name → wall-clock time of its estimate.
+    """
+
+    truths: np.ndarray
+    estimates: Dict[str, np.ndarray]
+    seconds: Dict[str, float]
+
+
 def run_estimation_trial(
     data: Dataset,
     system: CrowdRTSE,
@@ -172,17 +195,20 @@ def run_estimation_trial(
     selector: str,
     day: int,
     theta: Optional[float] = None,
-    estimators: Optional[Sequence[BaseEstimator]] = None,
+    backends: Sequence[str] = tuple(ESTIMATOR_LABELS),
     seed: int = 0,
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+) -> TrialOutcome:
     """One (budget, selector, day) trial: probe once, estimate with all.
 
-    Every estimator consumes the *same* probes, so differences are
-    attributable to the estimation method alone (the paper's setup).
-
-    Returns:
-        Mapping estimator name → ``(estimates, truths)`` over ``R^q``.
+    Every backend consumes the *same* probes from the same snapshot, so
+    differences are attributable to the estimation method alone (the
+    paper's setup).  The query itself is answered by ``rtf_gsp``; that
+    backend's column is the served field, and every other backend
+    estimates from the query's probes through
+    :meth:`CrowdRTSE.estimate_with_backend`, after
+    :func:`attach_backends` has attached it to ``system``.
     """
+    attach_backends(system, data, backends)
     market = market_for(data, seed=seed + day)
     truth = truth_oracle_for(data.test_history, day, data.slot)
     result = system.answer_query(
@@ -198,19 +224,22 @@ def run_estimation_trial(
         market=market,
         truth=truth,
     )
-    context = EstimationContext(
-        network=data.network,
-        history_samples=data.train_history.slot_samples(data.slot),
-        probes=result.probes,
-        slot_params=system.model.slot(data.slot),
-    )
     queried = np.asarray(data.queried, dtype=int)
+    estimates: Dict[str, np.ndarray] = {}
+    seconds: Dict[str, float] = {}
+    for name in backends:
+        if name == DEFAULT_BACKEND and result.gsp is not None:
+            field = result.full_field_kmh
+            seconds[name] = result.gsp.runtime_seconds
+        else:
+            start = time.perf_counter()
+            field = system.estimate_with_backend(
+                name, result.probes, data.slot
+            ).speeds
+            seconds[name] = time.perf_counter() - start
+        estimates[name] = field[queried]
     truths = np.array([truth(int(q)) for q in queried])
-    outputs: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for estimator in estimators or estimator_suite():
-        field = estimator.estimate(context)
-        outputs[estimator.name] = (field[queried], truths)
-    return outputs
+    return TrialOutcome(truths, estimates, seconds)
 
 
 def alt_cost_model(data: Dataset, low: int, high: int, seed: int = 99) -> CostModel:

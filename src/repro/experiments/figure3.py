@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.eval.metrics import summarize_errors, ErrorSummary
 from repro.experiments.common import (
+    ESTIMATOR_LABELS,
     ExperimentScale,
     dataset_by_name,
     evaluation_days,
@@ -60,7 +61,9 @@ def run(
     """Run the quality grid.
 
     Each (selector, θ, budget) probes once per trial day and feeds the
-    same probes to all four estimators; errors are pooled over trials.
+    same probes to the four backends of
+    :data:`~repro.experiments.common.ESTIMATOR_LABELS`; errors are
+    pooled over trials.
 
     Args:
         scale: Experiment sizing.
@@ -80,7 +83,7 @@ def run(
             for budget in budget_sweep:
                 pooled: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
                 for day_idx in evaluation_days(data, n_trials):
-                    outputs = run_estimation_trial(
+                    trial = run_estimation_trial(
                         data,
                         system,
                         budget=budget,
@@ -89,8 +92,10 @@ def run(
                         theta=theta,
                         seed=17,
                     )
-                    for name, pair in outputs.items():
-                        pooled.setdefault(name, []).append(pair)
+                    for name, estimates in trial.estimates.items():
+                        pooled.setdefault(ESTIMATOR_LABELS[name], []).append(
+                            (estimates, trial.truths)
+                        )
                 for name, pairs in pooled.items():
                     estimates = np.concatenate([p[0] for p in pairs])
                     truths = np.concatenate([p[1] for p in pairs])

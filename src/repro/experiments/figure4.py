@@ -14,19 +14,14 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
-
-from repro.baselines import (
-    EstimationContext,
-    GRMCEstimator,
-    GSPEstimator,
-    LassoEstimator,
-)
 from repro.core.ocs import hybrid_greedy, objective_greedy, ratio_greedy
 from repro.core.request import EstimationRequest
 from repro.datasets import truth_oracle_for
 from repro.experiments.common import (
+    ESTIMATOR_LABELS,
     ExperimentScale,
     alt_cost_model,
+    attach_backends,
     default_semisyn,
     fit_system,
     format_rows,
@@ -75,12 +70,15 @@ def run_estimator_runtime(
     scale: ExperimentScale = ExperimentScale.PAPER,
     repeats: int = 2,
 ) -> List[RuntimePoint]:
-    """Panel (b): estimator wall-clock versus budget (Hybrid probes)."""
+    """Panel (b): estimator wall-clock versus budget (Hybrid probes).
+
+    Times each backend's per-request estimate on the query's probes.
+    """
     data = default_semisyn(scale)
     system = fit_system("semisyn", scale)
-    estimators = [LassoEstimator(), GRMCEstimator(n_iterations=10), GSPEstimator()]
+    backends = ("lasso", "grmc", "rtf_gsp")
+    attach_backends(system, data, backends)
     points: List[RuntimePoint] = []
-    history = data.train_history.slot_samples(data.slot)
     for budget in data.budgets:
         market = market_for(data, seed=1)
         truth = truth_oracle_for(data.test_history, 0, data.slot)
@@ -91,18 +89,18 @@ def run_estimator_runtime(
             market=market,
             truth=truth,
         )
-        context = EstimationContext(
-            network=data.network,
-            history_samples=history,
-            probes=result.probes,
-            slot_params=system.model.slot(data.slot),
-        )
-        for estimator in estimators:
+        for name in backends:
             best = min(
-                _timed(lambda e=estimator, c=context: e.estimate(c))
+                _timed(
+                    lambda n=name, p=result.probes: system.estimate_with_backend(
+                        n, p, data.slot
+                    )
+                )
                 for _ in range(repeats)
             )
-            points.append(RuntimePoint("b", int(budget), estimator.name, best))
+            points.append(
+                RuntimePoint("b", int(budget), ESTIMATOR_LABELS[name], best)
+            )
     return points
 
 

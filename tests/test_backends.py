@@ -1,8 +1,8 @@
 """Core tests of the pluggable estimator-backend layer (repro.backends).
 
 Covers the registry contract, the RTF+GSP backend's differential
-equivalence with the default pipeline path, the offline-shim
-equivalence with the wrapped baselines, snapshot state plumbing through
+equivalence with the default pipeline path, the offline adapter's
+equivalence with the baseline field functions it serves, snapshot state plumbing through
 the store, backend-aware refresh (direct and via the streaming
 refresher), and the pipeline's per-query backend dispatch.
 """
@@ -26,7 +26,7 @@ from repro.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.baselines import EstimationContext, PeriodicEstimator
+from repro.baselines import grmc_field, lasso_field, per_field
 
 
 BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per", "rtf_gsp")
@@ -237,23 +237,34 @@ class TestBuiltInRTFGSP:
 
 
 class TestOfflineShim:
-    def test_per_backend_matches_estimator(self, world):
-        """OfflineBackend('per') == PeriodicEstimator on the same window."""
+    @pytest.mark.parametrize(
+        "name, field_fn",
+        [
+            ("per", per_field),
+            ("lasso", lambda *args: lasso_field(*args, alpha=0.1)),
+            (
+                "grmc",
+                lambda *args: grmc_field(
+                    *args, rank=10, reg=0.1, n_iterations=10
+                ),
+            ),
+        ],
+        ids=["per", "lasso", "grmc"],
+    )
+    def test_backend_matches_field_function(self, world, name, field_fn):
+        """Each registered baseline backend returns, bit for bit, its
+        field function's output on the same window and probes."""
         data = world["data"]
         result = answer(world)
         estimate = world["system"].estimate_with_backend(
-            "per", result.probes, data.slot
+            name, result.probes, data.slot
         )
-        state = world["system"].store.current().backend_state("per")
-        context = EstimationContext(
-            network=data.network,
-            history_samples=state.slot_samples[data.slot],
-            probes=dict(result.probes),
+        state = world["system"].store.current().backend_state(name)
+        window = state.slot_samples[data.slot]
+        np.testing.assert_array_equal(
+            estimate.speeds, field_fn(data.network, window, result.probes)
         )
-        np.testing.assert_allclose(
-            estimate.speeds, PeriodicEstimator().estimate(context)
-        )
-        assert estimate.provenance["estimator"].lower() == "per"
+        assert estimate.provenance["history_days"] == window.shape[0]
 
     def test_probes_pinned(self, world):
         # Every probe-consuming backend returns the probe verbatim on the
@@ -422,7 +433,7 @@ class TestTemplateContract:
                 return np.zeros(3), {}
 
         backend = Broken(
-            data.network, PeriodicEstimator(), name="broken_shape"
+            data.network, per_field, name="broken_shape"
         )
         state = backend.fit(data.train_history, slots=[data.slot])
         with pytest.raises(errors.BackendError, match="shape"):
@@ -430,7 +441,7 @@ class TestTemplateContract:
 
     def test_invalid_probes_rejected(self, tiny_dataset):
         data = tiny_dataset
-        backend = OfflineBackend(data.network, PeriodicEstimator(), name="per")
+        backend = OfflineBackend(data.network, per_field, name="per")
         state = backend.fit(data.train_history, slots=[data.slot])
         with pytest.raises(errors.BackendError, match="probe"):
             backend.estimate(state, {0: -5.0}, data.slot)
@@ -439,7 +450,7 @@ class TestTemplateContract:
 
     def test_refresh_learning_rate_validated(self, tiny_dataset):
         data = tiny_dataset
-        backend = OfflineBackend(data.network, PeriodicEstimator(), name="per")
+        backend = OfflineBackend(data.network, per_field, name="per")
         state = backend.fit(data.train_history, slots=[data.slot])
         with pytest.raises(errors.BackendError, match="learning_rate"):
             backend.refresh(state, {}, learning_rate=1.5)
@@ -455,7 +466,7 @@ class TestTemplateContract:
 
     def test_fit_empty_slots_raises(self, tiny_dataset):
         data = tiny_dataset
-        backend = OfflineBackend(data.network, PeriodicEstimator(), name="per")
+        backend = OfflineBackend(data.network, per_field, name="per")
         with pytest.raises(errors.BackendError, match="at least one slot"):
             backend.fit(data.train_history, slots=[])
 

@@ -1,12 +1,11 @@
-"""Unit tests for the GRMC baseline."""
+"""Unit tests for the GRMC baseline field."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import ModelError
-from repro.baselines import EstimationContext, GRMCEstimator
-from repro.baselines.grmc import graph_laplacian
+from repro.baselines.grmc import graph_laplacian, grmc_field
 
 
 class TestGraphLaplacian:
@@ -37,29 +36,26 @@ class TestGraphLaplacian:
         assert smooth @ lap @ smooth < rough @ lap @ rough
 
 
-class TestGRMCEstimator:
-    def test_config_validation(self):
-        with pytest.raises(ModelError):
-            GRMCEstimator(rank=0)
-        with pytest.raises(ModelError):
-            GRMCEstimator(reg=-1)
-        with pytest.raises(ModelError):
-            GRMCEstimator(n_iterations=0)
+class TestGRMCField:
+    def test_config_validation(self, line_net):
+        samples = np.ones((5, 6))
+        for bad in ({"rank": 0}, {"reg": -1}, {"gamma": -1},
+                    {"n_iterations": 0}, {"v_sweeps": 0}):
+            with pytest.raises(ModelError):
+                grmc_field(line_net, samples, {}, **bad)
 
     def test_probes_pass_through(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
         probes = {1: 33.0, 8: 71.0}
-        context = EstimationContext(net, samples, probes)
-        field = GRMCEstimator(n_iterations=5).estimate(context)
+        field = grmc_field(net, samples, probes, n_iterations=5)
         assert field[1] == pytest.approx(33.0)
         assert field[8] == pytest.approx(71.0)
 
     def test_output_positive_and_finite(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {0: 40.0})
-        field = GRMCEstimator(n_iterations=5).estimate(context)
+        field = grmc_field(net, samples, {0: 40.0}, n_iterations=5)
         assert np.all(np.isfinite(field))
         assert np.all(field > 0)
 
@@ -73,9 +69,8 @@ class TestGRMCEstimator:
         matrix = np.maximum(matrix, 5.0)
         history, current = matrix[:-1], matrix[-1]
         probes = {i: float(current[i]) for i in range(0, net.n_roads, 2)}
-        context = EstimationContext(net, history, probes)
-        field = GRMCEstimator(rank=4, reg=0.01, gamma=0.0, n_iterations=30).estimate(
-            context
+        field = grmc_field(
+            net, history, probes, rank=4, reg=0.01, gamma=0.0, n_iterations=30
         )
         hidden = [i for i in range(net.n_roads) if i not in probes]
         errors = np.abs(field[hidden] - current[hidden]) / current[hidden]
@@ -85,19 +80,17 @@ class TestGRMCEstimator:
     def test_deterministic_given_seed(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {0: 45.0})
-        a = GRMCEstimator(seed=1, n_iterations=4).estimate(context)
-        b = GRMCEstimator(seed=1, n_iterations=4).estimate(context)
+        a = grmc_field(net, samples, {0: 45.0}, seed=1, n_iterations=4)
+        b = grmc_field(net, samples, {0: 45.0}, seed=1, n_iterations=4)
         assert np.allclose(a, b)
 
     def test_graph_regularization_smooths(self, small_world):
         """Higher gamma should pull adjacent estimates together."""
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {0: 20.0})
         lap = graph_laplacian(net).toarray()
-        rough = GRMCEstimator(gamma=0.0, n_iterations=8, seed=2).estimate(context)
-        smooth = GRMCEstimator(gamma=50.0, n_iterations=8, seed=2).estimate(context)
+        rough = grmc_field(net, samples, {0: 20.0}, gamma=0.0, n_iterations=8, seed=2)
+        smooth = grmc_field(net, samples, {0: 20.0}, gamma=50.0, n_iterations=8, seed=2)
         # Compare the deviation fields (estimates minus history mean).
         mean = samples.mean(axis=0)
         dev_rough = rough - mean

@@ -1,17 +1,16 @@
-"""Unit tests for the from-scratch lasso solver and LASSO estimator."""
+"""Unit tests for the from-scratch lasso solver and the LASSO field."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import ModelError
-from repro.baselines import EstimationContext, LassoEstimator, LassoFieldModel
+from repro.baselines import LassoFieldModel
 from repro.baselines.lasso import (
-    LassoModel,
-    fit_lasso,
     fit_lasso_field,
     lasso_coordinate_descent,
     lasso_coordinate_descent_multi,
+    lasso_field,
 )
 
 
@@ -21,6 +20,15 @@ def make_regression(n=80, p=5, seed=0, noise=0.1):
     beta = np.array([2.0, -1.5, 0.0, 0.0, 3.0])[:p]
     target = design @ beta + noise * rng.normal(size=n)
     return design, target, beta
+
+
+def fit_coef(design, target, alpha, max_iter=300):
+    """Single-target lasso coefficients of raw (uncentred) data."""
+    n = design.shape[0]
+    xc = design - design.mean(axis=0)
+    gram = xc.T @ xc / n
+    corr = xc.T @ (target - target.mean()) / n
+    return lasso_coordinate_descent(gram, corr, alpha, max_iter=max_iter)
 
 
 class TestCoordinateDescent:
@@ -37,20 +45,19 @@ class TestCoordinateDescent:
 
     def test_recovers_sparse_signal(self):
         design, target, beta_true = make_regression(n=300, noise=0.05)
-        model = fit_lasso(design, target, alpha=0.02, max_iter=2000)
-        assert np.allclose(model.coef, beta_true, atol=0.1)
+        coef = fit_coef(design, target, alpha=0.02, max_iter=2000)
+        assert np.allclose(coef, beta_true, atol=0.1)
 
     def test_large_alpha_zeroes_everything(self):
         design, target, _ = make_regression()
-        model = fit_lasso(design, target, alpha=1e6)
-        assert np.allclose(model.coef, 0.0)
+        assert np.allclose(fit_coef(design, target, alpha=1e6), 0.0)
 
     def test_alpha_shrinks_l1_norm(self):
         design, target, _ = make_regression(n=150)
         norms = []
         for alpha in (0.0, 0.1, 0.5, 2.0):
-            model = fit_lasso(design, target, alpha=alpha, max_iter=2000)
-            norms.append(np.abs(model.coef).sum())
+            coef = fit_coef(design, target, alpha=alpha, max_iter=2000)
+            norms.append(np.abs(coef).sum())
         assert all(a >= b - 1e-9 for a, b in zip(norms, norms[1:]))
 
     def test_negative_alpha_rejected(self):
@@ -62,8 +69,7 @@ class TestCoordinateDescent:
         design = rng.normal(size=(50, 3))
         design[:, 1] = 7.0  # constant column: zero variance after centring
         target = design[:, 0] * 2
-        model = fit_lasso(design, target, alpha=0.01)
-        assert model.coef[1] == 0.0
+        assert fit_coef(design, target, alpha=0.01)[1] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ModelError):
@@ -105,48 +111,30 @@ class TestMultiTarget:
         assert np.allclose(cold, warm, atol=1e-6)
 
 
-class TestLassoModel:
-    def test_predict(self):
-        model = LassoModel(
-            coef=np.array([1.0, 2.0]),
-            intercept=5.0,
-            feature_means=np.array([1.0, 1.0]),
-        )
-        assert model.predict(np.array([2.0, 2.0])) == pytest.approx(5 + 1 + 2)
-
-    def test_predict_shape_check(self):
-        model = LassoModel(np.ones(2), 0.0, np.zeros(2))
-        with pytest.raises(ModelError):
-            model.predict(np.ones(3))
-
-
-class TestLassoEstimator:
+class TestLassoField:
     def test_probed_roads_pass_through(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
         probes = {0: 25.0, 5: 66.0}
-        context = EstimationContext(net, samples, probes)
-        field = LassoEstimator().estimate(context)
+        field = lasso_field(net, samples, probes)
         assert field[0] == pytest.approx(25.0)
         assert field[5] == pytest.approx(66.0)
 
     def test_no_probes_falls_back_to_mean(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {})
-        field = LassoEstimator().estimate(context)
+        field = lasso_field(net, samples, {})
         assert np.allclose(field, samples.mean(axis=0))
 
     def test_all_positive(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {2: 10.0, 9: 80.0})
-        field = LassoEstimator().estimate(context)
+        field = lasso_field(net, samples, {2: 10.0, 9: 80.0})
         assert np.all(field > 0)
 
-    def test_bad_alpha(self):
+    def test_bad_alpha(self, line_net):
         with pytest.raises(ModelError):
-            LassoEstimator(alpha=-0.1)
+            lasso_field(line_net, np.ones((5, 6)), {}, alpha=-0.1)
 
     def test_probes_improve_over_mean(self, small_world):
         """With informative probes the lasso should beat the plain mean
@@ -159,8 +147,7 @@ class TestLassoEstimator:
         train = samples[:-1]
         probe_roads = list(range(0, net.n_roads, 4))
         probes = {r: float(truth_day[r]) for r in probe_roads}
-        context = EstimationContext(net, train, probes)
-        field = LassoEstimator(alpha=0.05).estimate(context)
+        field = lasso_field(net, train, probes, alpha=0.05)
         mean = train.mean(axis=0)
         free = [i for i in range(net.n_roads) if i not in probes]
         lasso_err = np.abs(field[free] - truth_day[free]).mean()
@@ -177,17 +164,15 @@ class TestLassoFieldModel:
         return samples, observed, fit_lasso_field(samples, observed, alpha)
 
     def test_estimator_delegates_to_fit_field(self, small_world):
-        """estimate() == fit_field().predict() — the refactor changed
-        the call shape, not the numbers."""
+        """lasso_field() == fit_lasso_field().predict() on the probes
+        read in sorted road order (coordinate descent is order-sensitive)."""
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        probes = {0: 25.0, 4: 50.0, 8: 66.0}
-        context = EstimationContext(net, samples, probes)
-        estimator = LassoEstimator(alpha=0.05)
-        field = estimator.estimate(context)
-        model = estimator.fit_field(context)
+        probes = {8: 66.0, 0: 25.0, 4: 50.0}
+        field = lasso_field(net, samples, probes, alpha=0.05)
+        model = fit_lasso_field(samples, np.array([0, 4, 8]), 0.05)
         np.testing.assert_array_equal(
-            field, model.predict(context.observed_values)
+            field, model.predict(np.array([25.0, 50.0, 66.0]))
         )
 
     def test_pickle_roundtrip_predicts_identically(self, small_world):

@@ -1,106 +1,71 @@
-"""Unit tests for Per, GSPEstimator, HopWeightedEstimator and the base interface."""
+"""Unit tests for the Per and hop-weighted fields and the probe reader."""
 
 import numpy as np
 import pytest
 
-import repro
 from repro.errors import ModelError
 from repro.baselines import (
-    EstimationContext,
-    GSPEstimator,
-    HopWeightedEstimator,
-    PeriodicEstimator,
+    hop_weighted_field,
+    observed_probes,
+    per_field,
+    periodic_field,
 )
-from repro.core.gsp import GSPConfig, propagate
 
 
-class TestEstimationContext:
-    def test_shape_validation(self, line_net):
-        with pytest.raises(ModelError):
-            EstimationContext(line_net, np.ones((5, 3)), {})
+class TestObservedProbes:
+    def test_observed_arrays_sorted_and_aligned(self):
+        indices, values = observed_probes({4: 44.0, 1: 11.0})
+        assert list(indices) == [1, 4]
+        assert list(values) == [11.0, 44.0]
 
-    def test_probe_road_validation(self, line_net):
-        with pytest.raises(ModelError):
-            EstimationContext(line_net, np.ones((5, 6)), {9: 40.0})
+    def test_no_probes(self):
+        indices, values = observed_probes({})
+        assert indices.shape == values.shape == (0,)
 
-    def test_probe_value_validation(self, line_net):
-        with pytest.raises(ModelError):
-            EstimationContext(line_net, np.ones((5, 6)), {0: -3.0})
 
-    def test_observed_arrays_sorted_and_aligned(self, line_net):
-        context = EstimationContext(
-            line_net, np.ones((5, 6)) * 50, {4: 44.0, 1: 11.0}
+class TestPerField:
+    def test_is_history_mean(self, small_world):
+        net = small_world["network"]
+        samples = small_world["history"].slot_samples(small_world["slot"])
+        np.testing.assert_array_equal(
+            per_field(net, samples, {}), samples.mean(axis=0)
         )
-        assert list(context.observed_indices) == [1, 4]
-        assert list(context.observed_values) == [11.0, 44.0]
-
-
-class TestPeriodicEstimator:
-    def test_uses_model_mu_when_available(self, small_world):
-        net = small_world["network"]
-        params = small_world["params"]
-        samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {}, slot_params=params)
-        field = PeriodicEstimator().estimate(context)
-        assert np.allclose(field, params.mu)
-
-    def test_falls_back_to_history_mean(self, small_world):
-        net = small_world["network"]
-        samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {})
-        field = PeriodicEstimator().estimate(context)
-        assert np.allclose(field, samples.mean(axis=0))
 
     def test_ignores_probes(self, small_world):
         net = small_world["network"]
         samples = small_world["history"].slot_samples(small_world["slot"])
-        with_probe = EstimationContext(net, samples, {0: 5.0})
-        without = EstimationContext(net, samples, {})
-        estimator = PeriodicEstimator()
-        assert np.allclose(
-            estimator.estimate(with_probe), estimator.estimate(without)
+        np.testing.assert_array_equal(
+            per_field(net, samples, {0: 5.0}), per_field(net, samples, {})
         )
 
-
-class TestGSPEstimatorWrapper:
-    def test_matches_direct_propagate(self, small_world):
-        net = small_world["network"]
+    def test_periodic_field_copies_model_mu(self, small_world):
         params = small_world["params"]
-        samples = small_world["history"].slot_samples(small_world["slot"])
-        probes = {0: 30.0, 10: 60.0}
-        context = EstimationContext(net, samples, probes, slot_params=params)
-        wrapped = GSPEstimator().estimate(context)
-        direct = propagate(net, params, probes, GSPConfig()).speeds
-        assert np.allclose(wrapped, direct)
-
-    def test_standalone_without_params(self, small_world):
-        net = small_world["network"]
-        samples = small_world["history"].slot_samples(small_world["slot"])
-        context = EstimationContext(net, samples, {0: 30.0})
-        field = GSPEstimator().estimate(context)
-        assert field[0] == pytest.approx(30.0)
-        assert np.all(field > 0)
+        field = periodic_field(params)
+        np.testing.assert_array_equal(field, params.mu)
+        field[0] = -1.0
+        assert params.mu[0] != -1.0
 
 
-class TestHopWeightedEstimator:
-    def test_config_validation(self):
+class TestHopWeightedField:
+    def test_config_validation(self, line_net):
+        samples = np.full((8, 6), 50.0)
         with pytest.raises(ModelError):
-            HopWeightedEstimator(decay=0.0)
+            hop_weighted_field(line_net, samples, {}, decay=0.0)
         with pytest.raises(ModelError):
-            HopWeightedEstimator(max_hops=0)
+            hop_weighted_field(line_net, samples, {}, max_hops=0)
 
     def test_probes_pass_through(self, line_net):
         samples = np.full((8, 6), 50.0)
-        context = EstimationContext(line_net, samples, {2: 30.0})
-        field = HopWeightedEstimator().estimate(context)
+        field = hop_weighted_field(line_net, samples, {2: 30.0})
         assert field[2] == pytest.approx(30.0)
 
     def test_deviation_decays_with_distance(self, line_net):
         samples = np.full((8, 6), 50.0) + np.random.default_rng(0).normal(
             0, 0.5, (8, 6)
         )
-        context = EstimationContext(line_net, samples, {0: 30.0})
-        field = HopWeightedEstimator(decay=0.5, max_hops=3).estimate(context)
+        field = hop_weighted_field(
+            line_net, samples, {0: 30.0}, decay=0.5, max_hops=3
+        )
         mean = samples.mean(axis=0)
         pulls = np.abs(field - mean)
         assert pulls[1] > pulls[2] > pulls[3]
@@ -108,10 +73,4 @@ class TestHopWeightedEstimator:
 
     def test_no_probes_returns_mean(self, line_net):
         samples = np.full((8, 6), 42.0)
-        context = EstimationContext(line_net, samples, {})
-        assert np.allclose(
-            HopWeightedEstimator().estimate(context), 42.0
-        )
-
-    def test_repr_contains_name(self):
-        assert "HopW" in repr(HopWeightedEstimator())
+        assert np.allclose(hop_weighted_field(line_net, samples, {}), 42.0)

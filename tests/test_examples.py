@@ -42,3 +42,15 @@ class TestExamples:
         assert "day 5:" in out
         # One publish per replayed day on top of the fitted version 1.
         assert "store version 7" in out
+
+    def test_budget_planning(self):
+        out = run_example("budget_planning.py")
+        assert "75   hybrid" in out
+
+    def test_city_monitoring(self):
+        out = run_example("city_monitoring.py")
+        assert "morning summary: GSP MAPE" in out
+
+    def test_uncertainty_aware_routing(self):
+        out = run_example("uncertainty_aware_routing.py")
+        assert "mean CI width" in out

@@ -8,10 +8,10 @@ from repro.experiments import (
     ExperimentScale,
     default_gmission,
     default_semisyn,
-    estimator_suite,
     fit_system,
     ocs_instance_for,
 )
+from repro.experiments.common import ESTIMATOR_LABELS, run_estimation_trial
 from repro.experiments import (
     ablations,
     figure2,
@@ -34,9 +34,42 @@ class TestCommon:
     def test_fit_system_memoized(self):
         assert fit_system("semisyn", QUICK) is fit_system("semisyn", QUICK)
 
-    def test_estimator_suite_names(self):
-        names = [e.name for e in estimator_suite()]
-        assert names == ["GSP", "LASSO", "GRMC", "Per"]
+    def test_trial_scores_every_figure_backend(self):
+        data = default_semisyn(QUICK)
+        system = fit_system("semisyn", QUICK)
+        trial = run_estimation_trial(data, system, 30, "hybrid", day=1)
+        assert list(trial.estimates) == list(ESTIMATOR_LABELS)
+        assert [ESTIMATOR_LABELS[n] for n in trial.estimates] == [
+            "GSP", "LASSO", "GRMC", "Per"
+        ]
+        assert set(trial.seconds) == set(ESTIMATOR_LABELS)
+        for estimates in trial.estimates.values():
+            assert estimates.shape == trial.truths.shape == (len(data.queried),)
+
+    @pytest.mark.parametrize("selector", ["hybrid", "random"])
+    def test_trial_gsp_column_is_the_backend_estimate(self, selector, monkeypatch):
+        """The GSP column reuses the answered query's field; it must equal
+        a fresh rtf_gsp estimate on the same probes bit for bit."""
+        data = default_semisyn(QUICK)
+        system = fit_system("semisyn", QUICK)
+        answered = []
+        answer_query = system.answer_query
+
+        def spy(*args, **kwargs):
+            answered.append(answer_query(*args, **kwargs))
+            return answered[-1]
+
+        monkeypatch.setattr(system, "answer_query", spy)
+        trial = run_estimation_trial(
+            data, system, 15, selector, day=2, backends=("rtf_gsp",), seed=17
+        )
+        fresh = system.estimate_with_backend(
+            "rtf_gsp", answered[0].probes, data.slot
+        )
+        queried = np.asarray(data.queried, dtype=int)
+        np.testing.assert_array_equal(
+            trial.estimates["rtf_gsp"], fresh.speeds[queried]
+        )
 
     def test_ocs_instance_for(self):
         data = default_semisyn(QUICK)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.baselines import EstimationContext, GSPEstimator, PeriodicEstimator
+from repro.baselines import per_field
 from repro.datasets import truth_oracle_for
 
 
@@ -139,16 +139,12 @@ class TestIncidentResponse:
 
         # Probe the incident road plus a few others.
         probes = {incident_road: float(truth_day[incident_road])}
-        context = EstimationContext(
-            network, train.slot_samples(slot), probes,
-            slot_params=system.model.slot(slot),
-        )
-        gsp_field = GSPEstimator().estimate(context)
-        per_field = PeriodicEstimator().estimate(context)
+        gsp_field = system.estimate_with_backend("rtf_gsp", probes, slot).speeds
+        per_speeds = per_field(network, train.slot_samples(slot), probes)
 
         affected = [incident_road] + list(network.neighbors(incident_road))
         gsp_err = np.abs(gsp_field[affected] - truth_day[affected]).mean()
-        per_err = np.abs(per_field[affected] - truth_day[affected]).mean()
+        per_err = np.abs(per_speeds[affected] - truth_day[affected]).mean()
         assert gsp_err < per_err
 
     def test_incident_propagates_through_gsp(self):

@@ -16,7 +16,8 @@ import pytest
 
 import repro
 from repro import errors
-from repro.baselines import EstimationContext, PeriodicEstimator, periodic_field
+from repro.backends import create_backend
+from repro.baselines import periodic_field
 from repro.core.pipeline import Deadline
 from repro.serve import (
     DEGRADED_BUDGET,
@@ -330,14 +331,19 @@ class TestDegradedEquivalence:
             served = service.serve(request)
         assert served.degraded
         snapshot = serve_world["system"].store.current()
-        context = EstimationContext(
-            network=data.network,
-            history_samples=data.train_history.slot_samples(slot),
-            probes={},
-            slot_params=snapshot.slot(slot),
+        np.testing.assert_array_equal(
+            served.full_field_kmh, periodic_field(snapshot.slot(slot))
         )
-        per = PeriodicEstimator().estimate(context)
-        np.testing.assert_array_equal(served.full_field_kmh, per)
+        # The ``per`` backend answers the same Per from its history
+        # window (the mean), which RTF's fitted μ equals up to rounding.
+        per = create_backend("per", data.network)
+        state = per.fit(data.train_history, slots=[slot])
+        np.testing.assert_allclose(
+            served.full_field_kmh,
+            per.estimate(state, {}, slot).speeds,
+            rtol=0,
+            atol=1e-9,
+        )
 
     def test_budget_exhaustion_degrades_with_budget_reason(self, serve_world):
         request = make_request(
