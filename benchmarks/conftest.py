@@ -59,7 +59,6 @@ def semisyn_probe(semisyn, semisyn_system):
             queried=semisyn.queried,
             slot=semisyn.slot,
             budget=budget,
-            warm_start=False,
         ),
         market=market,
         truth=truth,

@@ -39,7 +39,6 @@ def test_posterior_variance_cost(benchmark, semisyn, semisyn_system):
             queried=semisyn.queried,
             slot=semisyn.slot,
             budget=min(semisyn.budgets),
-            warm_start=False,
         ),
         market=market,
         truth=truth,
@@ -65,7 +64,6 @@ def test_more_probes_reduce_total_uncertainty(benchmark, semisyn, semisyn_system
                     queried=semisyn.queried,
                     slot=semisyn.slot,
                     budget=budget,
-                    warm_start=False,
                 ),
                 market=market,
                 truth=truth,

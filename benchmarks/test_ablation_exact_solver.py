@@ -25,7 +25,6 @@ def probes(semisyn, semisyn_system):
             queried=semisyn.queried,
             slot=semisyn.slot,
             budget=semisyn.budgets[1],
-            warm_start=False,
         ),
         market=market,
         truth=truth,

@@ -46,7 +46,6 @@ def probes_and_truth(semisyn, semisyn_system):
             queried=semisyn.queried,
             slot=semisyn.slot,
             budget=min(semisyn.budgets),
-            warm_start=False,
         ),
         market=market,
         truth=truth,

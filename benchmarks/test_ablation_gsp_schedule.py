@@ -26,7 +26,6 @@ def world(semisyn, semisyn_system):
             queried=semisyn.queried,
             slot=semisyn.slot,
             budget=semisyn.budgets[1],
-            warm_start=False,
         ),
         market=market,
         truth=truth,

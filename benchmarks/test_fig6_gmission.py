@@ -26,7 +26,6 @@ def test_fig6_full_query(benchmark, gmission, gmission_system):
                 queried=gmission.queried,
                 slot=gmission.slot,
                 budget=max(gmission.budgets),
-                warm_start=False,
             ),
             market=market,
             truth=truth,

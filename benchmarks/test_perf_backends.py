@@ -67,7 +67,6 @@ def _run_query(world, seed, backend):
             slot=data.slot,
             budget=12,
             rng=np.random.default_rng(seed),
-            warm_start=False,
             **kwargs,
         ),
         market=market,

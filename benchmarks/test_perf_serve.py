@@ -82,7 +82,6 @@ def serve_perf_world():
                     budget=12,
                     market=market,
                     truth=truths[slot],
-                    warm_start=False,
                 ),
             )
         )
@@ -115,7 +114,6 @@ def test_coalesced_serving_beats_sequential_loop(serve_perf_world):
                 queried=request.queried,
                 slot=request.slot,
                 budget=request.budget,
-                warm_start=False,
             ),
             market=market,
             truth=request.truth,
@@ -167,79 +165,3 @@ def test_coalesced_serving_beats_sequential_loop(serve_perf_world):
         f"coalesced serving only {speedup:.2f}x faster than the sequential "
         f"loop (need ≥{MIN_SPEEDUP}x)"
     )
-
-
-def test_steady_state_serving_reuses_warm_starts(serve_perf_world):
-    """Round two of an identical workload is served off warm seeds.
-
-    Warm-started requests (the canonical default) populate the
-    per-``(digest, R^c)`` seed cache on the first drain; replaying the
-    same workload must then consume those seeds (``gsp.warm_start``
-    outcome ``used``) and still return fields ε-equivalent to round one.
-    """
-    import dataclasses
-
-    from repro import obs
-
-    data = serve_perf_world["data"]
-    system = serve_perf_world["system"]
-    arrivals = serve_perf_world["arrivals"]
-
-    def warm_arrivals_round():
-        # Markets are stateful; each round rebuilds identically-seeded
-        # ones so both rounds probe identical speeds and the only
-        # difference is the warm seed.
-        markets = {}
-        out = []
-        for uid, request in arrivals:
-            if uid not in markets:
-                markets[uid] = repro.CrowdMarket(
-                    data.network, data.pool, data.cost_model,
-                    rng=np.random.default_rng(1000 + uid),
-                )
-            out.append(
-                (
-                    uid,
-                    dataclasses.replace(
-                        request, warm_start=True, market=markets[uid]
-                    ),
-                )
-            )
-        return out
-
-    obs.configure(metrics=True, tracing=False)
-    obs.get_metrics().clear()
-    try:
-        rounds = []
-        for _ in range(2):
-            warm_arrivals = warm_arrivals_round()
-            service = QueryService(
-                system,
-                config=ServeConfig(
-                    num_workers=2,
-                    max_queue_depth=2 * N_REQUESTS,
-                    max_coalesce=N_REQUESTS,
-                ),
-                autostart=False,
-            )
-            tickets = [service.submit(request) for _, request in warm_arrivals]
-            service.start()
-            rounds.append([ticket.result(timeout=600) for ticket in tickets])
-            service.close()
-        outcomes = {
-            e["labels"]["outcome"]: e["value"]
-            for e in obs.get_metrics().snapshot()["counters"]
-            if e["name"] == "gsp.warm_start"
-        }
-    finally:
-        obs.get_metrics().clear()
-        obs.configure(metrics=False, tracing=False)
-
-    assert outcomes.get("used", 0) > 0, (
-        f"steady-state replay never consumed a warm seed: {outcomes}"
-    )
-    for first, second in zip(rounds[0], rounds[1]):
-        np.testing.assert_allclose(
-            first.estimates_kmh, second.estimates_kmh, rtol=0, atol=1e-2
-        )
-    print(f"\n[serve-perf] warm-start outcomes over two rounds: {outcomes}")

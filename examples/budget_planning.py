@@ -49,7 +49,6 @@ for budget in data.budgets:
                     budget=budget,
                     selector=selector,
                     rng=np.random.default_rng(200 + day),
-                    warm_start=False,
                 ),
                 market=market, truth=truth,
             )

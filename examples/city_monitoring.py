@@ -50,7 +50,6 @@ for slot in slots:
             queried=data.queried,
             slot=slot,
             budget=BUDGET_PER_SLOT,
-            warm_start=False,
         ),
         market=market, truth=truth,
     )

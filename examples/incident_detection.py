@@ -49,7 +49,6 @@ result = system.answer_query(
         queried=queried,
         slot=slot,
         budget=25,
-        warm_start=False,
     ),
     market=market, truth=truth,
 )

@@ -45,7 +45,6 @@ result = system.answer_query(
         budget=30,
         theta=data.theta,
         selector="hybrid",
-        warm_start=False,
     ),
     market=market, truth=truth,
 )

@@ -64,7 +64,7 @@ for day in range(data.test_history.n_days):
     union = sorted({int(road) for query in queries for road in query})
     shared = system.answer_query(
         repro.EstimationRequest(
-            queried=union, slot=data.slot, budget=30, warm_start=False
+            queried=union, slot=data.slot, budget=30
         ),
         market=market,
         truth=truth,

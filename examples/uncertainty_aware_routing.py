@@ -46,7 +46,6 @@ result = system.answer_query(
         queried=queried,
         slot=data.slot,
         budget=25,
-        warm_start=False,
     ),
     market=market, truth=truth,
 )

@@ -15,12 +15,13 @@ propagation engine (``CrowdRTSE.gsp_engine``).  The batch hook
 :meth:`GSPEngine.propagate_batch` over the whole batch, with each
 query's propagation structure read from its pinned snapshot
 (:meth:`~repro.core.store.ModelSnapshot.propagation_structure`, compiled
-once per slot digest) and each propagation seeded from the snapshot's
-warm-start fields.  The per-request :meth:`~EstimatorBackend.estimate`
-template (shadow scoring, direct calls) sees only the state blob, so it
-propagates cold; a snapshot's own state reads that snapshot's cached
-structure, and a state built elsewhere (fitted, refreshed or unpickled)
-compiles the slot's structure for that call.
+once per slot digest).  Every propagation starts from the prior means
+μ, so the batch hook and the per-request
+:meth:`~EstimatorBackend.estimate` template (shadow scoring, direct
+calls) return the same field for the same probes.  A snapshot's own
+state reads that snapshot's cached structure, and a state built
+elsewhere (fitted, refreshed or unpickled) compiles the slot's
+structure for that call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.core.online_update import refresh_slots
 from repro.core.rtf import RTFSlot
 from repro.errors import BackendError, NotFittedError, ReproError, wrap_internal
 from repro.network.graph import TrafficNetwork
-from repro.obs import get_metrics
 from repro.traffic.history import SpeedHistory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,29 +82,6 @@ class _SlotView(Mapping[int, RTFSlot]):
 
     def __len__(self) -> int:
         return len(self._slots)
-
-
-def _warm_seed(
-    prepared: "PreparedQuery", observed_key: frozenset
-) -> Optional[np.ndarray]:
-    """Fetch a query's warm-start seed and publish the outcome counter.
-
-    Outcomes mirror the ``gsp.warm_start`` metric: ``used`` (seed
-    found for this exact digest + R^c), ``miss`` (nothing cached),
-    ``mismatch`` (cached under a different R^c), ``disabled``
-    (request opted out).
-    """
-    request = prepared.request
-    if request.warm_start:
-        seed, outcome = prepared.snapshot.warm_field(request.slot, observed_key)
-        if outcome == "hit":
-            outcome = "used"
-    else:
-        seed, outcome = None, "disabled"
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter("gsp.warm_start", {"outcome": outcome}).inc()
-    return seed
 
 
 class RTFGSPBackend(EstimatorBackend):
@@ -189,10 +166,8 @@ class RTFGSPBackend(EstimatorBackend):
         """One :meth:`GSPEngine.propagate_batch` over the whole batch.
 
         Every query whose slot parameters resolve joins the one call,
-        with the structure its snapshot compiled for the slot.
-        All warm-start seeds are fetched before any is stored, so the
-        queries of one batch seed from earlier answers, never from each
-        other.  The provenance of each estimate carries its
+        with the structure its snapshot compiled for the slot.  The
+        provenance of each estimate carries its
         ``GSPResult`` under ``"gsp"``.  A propagation failure fails
         every query in the call (stray internal exceptions arrive as
         ``InternalError("gsp")``).
@@ -215,8 +190,6 @@ class RTFGSPBackend(EstimatorBackend):
         if not members:
             return [outcomes[k] for k in range(len(queries))]
         group = [queries[k] for k in members]
-        keys = [frozenset(query.probes) for query in group]
-        seeds = [_warm_seed(query, key) for query, key in zip(group, keys)]
         try:
             with wrap_internal("gsp"):
                 structures = [
@@ -224,17 +197,14 @@ class RTFGSPBackend(EstimatorBackend):
                     for query in group
                 ]
                 results = self._engine.propagate_batch(
-                    items, config, initial_fields=seeds, structures=structures
+                    items, config, structures=structures
                 )
         except ReproError as exc:
             return [outcomes.get(k, exc) for k in range(len(queries))]
-        for k, query, key, gsp_result in zip(members, group, keys, results):
-            slot = query.request.slot
-            if query.request.warm_start and gsp_result.converged:
-                query.snapshot.store_warm_field(slot, key, gsp_result.speeds)
+        for k, query, gsp_result in zip(members, group, results):
             outcomes[k] = BackendEstimate(
                 backend=self.name,
-                slot=slot,
+                slot=query.request.slot,
                 speeds=gsp_result.speeds,
                 provenance={
                     "sweeps": gsp_result.sweeps,

@@ -92,17 +92,6 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2018)
 
 
-def _add_latency_args(parser: argparse.ArgumentParser) -> None:
-    """Shared per-request latency knobs (``query`` and ``serve``)."""
-    group = parser.add_argument_group("latency")
-    group.add_argument(
-        "--no-warm-start", action="store_true",
-        help="disable warm-starting GSP from the previous converged "
-        "field (warm starts converge to the same fixed point within "
-        "the solver tolerance, not bit-identically)",
-    )
-
-
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("observability")
     group.add_argument(
@@ -266,7 +255,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         theta=args.theta,
         selector=args.selector,
         rng=np.random.default_rng(args.seed),
-        warm_start=not args.no_warm_start,
     )
     result = system.answer_query(request, market=market, truth=truth)
     truths = np.array([truth(q) for q in data.queried])
@@ -448,8 +436,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         overrides = {"truth": oracles[key]}
         if args.backend != "rtf_gsp":
             overrides["backend"] = args.backend
-        if args.no_warm_start:
-            overrides["warm_start"] = False
         return dataclasses.replace(item, **overrides)
 
     config = serving.ServeConfig(
@@ -717,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument("--day", type=int, default=0, help="test day to query")
     p_query.add_argument("--verbose", action="store_true", help="print per-road rows")
-    _add_latency_args(p_query)
     _add_obs_args(p_query)
     p_query.set_defaults(func=cmd_query)
 
@@ -842,7 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="score this challenger backend in shadow mode on every "
         "completed request (serve.shadow.* metrics; answers unchanged)",
     )
-    _add_latency_args(p_serve)
     _add_obs_args(p_serve)
     _add_admin_args(p_serve)
     p_serve.set_defaults(func=cmd_serve)

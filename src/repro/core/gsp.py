@@ -106,6 +106,10 @@ VECTORIZABLE_SCHEDULES = frozenset(
     {GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED} | _WAVEFRONT_SCHEDULES
 )
 
+#: LRU capacity of an engine's compiled-schedule cache (one entry per
+#: ``(schedule, R^c)`` pair).
+_MAX_SCHEDULES = 64
+
 
 def independent_update_groups(
     network: TrafficNetwork, layer: Sequence[int]
@@ -244,8 +248,9 @@ class GSPProvenance:
             reference kernel, which reads none).
         schedule_cache_hit: Whether the BFS layers / colouring came out
             of the engine cache (mirrors ``gsp.cache.lookups``).
-        warm_start: Whether the sweep was seeded from a caller-provided
-            field instead of the prior means μ.
+        warm_start: Always ``False``: every sweep starts from the prior
+            means μ.  Kept only because the benchmark's span recorder
+            reads it; a change to the benchmark may remove it.
     """
 
     structure_cache_hit: bool = False
@@ -476,14 +481,10 @@ class GSPEngine:
 
     Args:
         network: The road graph.
-        max_schedules: LRU capacity of the schedule cache.
     """
 
-    def __init__(self, network: TrafficNetwork, max_schedules: int = 64) -> None:
-        if max_schedules <= 0:
-            raise ModelError("max_schedules must be positive")
+    def __init__(self, network: TrafficNetwork) -> None:
         self._network = network
-        self._max_schedules = max_schedules
         self._schedules: "OrderedDict[Tuple[GSPSchedule, frozenset], CompiledSchedule]" = (
             OrderedDict()
         )
@@ -541,7 +542,7 @@ class GSPEngine:
         )
         with self._lock:
             self._schedules[key] = compiled
-            if len(self._schedules) > self._max_schedules:
+            if len(self._schedules) > _MAX_SCHEDULES:
                 self._schedules.popitem(last=False)
         metrics.counter(
             "gsp.cache.lookups", {"cache": "schedule", "result": "miss"}
@@ -556,23 +557,18 @@ class GSPEngine:
         observed: Mapping[int, float],
         config: Optional[GSPConfig] = None,
         *,
-        initial_field: Optional[np.ndarray] = None,
         structure: Optional[PropagationStructure] = None,
     ) -> GSPResult:
         """Run GSP for one slot (Alg. 5), using the cached schedules.
+
+        The sweep starts from the prior means μ with the observed roads
+        clamped, so the answer depends only on ``params``, ``observed``
+        and ``config``.
 
         Args:
             params: RTF parameters of the query slot.
             observed: Probed speeds keyed by road index; clamped.
             config: Solver knobs.
-            initial_field: Optional warm-start seed, shape
-                ``(n_roads,)`` — the sweep starts from this field instead
-                of the prior means μ (observed roads are still clamped to
-                their probed values).  Converges to the same fixed point;
-                a seed near it (e.g. the previous slot's converged field)
-                cuts sweeps-to-convergence.  Callers are responsible for
-                the seed's freshness — see
-                ``ModelSnapshot.warm_field``/``store_warm_field``.
             structure: The slot's compiled :class:`PropagationStructure`
                 (e.g. ``ModelSnapshot.propagation_structure``); it must
                 have been compiled from ``params``.  Without one, the
@@ -600,17 +596,6 @@ class GSPEngine:
                 raise ModelError(f"observed road index {road} outside 0..{n - 1}")
             if not np.isfinite(value) or value <= 0:
                 raise ModelError(f"observed speed for road {road} must be positive")
-        if initial_field is not None:
-            seed_field = np.asarray(initial_field, dtype=np.float64)
-            if seed_field.shape != (n,):
-                raise ModelError(
-                    f"initial_field shape {seed_field.shape} does not match "
-                    f"{n} roads"
-                )
-            if not np.all(np.isfinite(seed_field)):
-                raise ModelError("initial_field must be finite")
-        else:
-            seed_field = None
 
         tracer = get_tracer()
         with tracer.span(
@@ -619,13 +604,9 @@ class GSPEngine:
             schedule=cfg.schedule.value,
             kernel=kernel.value,
             observed_roads=len(observed),
-            warm_start=seed_field is not None,
         ) as span:
             start = time.perf_counter()
-            if seed_field is not None:
-                speeds = seed_field.copy()
-            else:
-                speeds = params.mu.astype(np.float64).copy()
+            speeds = params.mu.astype(np.float64).copy()
             for road, value in observed.items():
                 speeds[road] = float(value)
             observed_set = frozenset(int(road) for road in observed)
@@ -642,7 +623,7 @@ class GSPEngine:
                     runtime_seconds=runtime,
                     schedule=cfg.schedule,
                     kernel=kernel,
-                    provenance=GSPProvenance(warm_start=seed_field is not None),
+                    provenance=GSPProvenance(),
                 )
 
             if kernel is GSPKernel.VECTORIZED:
@@ -697,7 +678,6 @@ class GSPEngine:
                 provenance=GSPProvenance(
                     structure_cache_hit=structure_hit,
                     schedule_cache_hit=schedule_hit,
-                    warm_start=seed_field is not None,
                 ),
             )
 
@@ -731,7 +711,6 @@ class GSPEngine:
         items: Sequence[Tuple[RTFSlot, Mapping[int, float]]],
         config: Optional[GSPConfig] = None,
         *,
-        initial_fields: Optional[Sequence[Optional[np.ndarray]]] = None,
         structures: Optional[Sequence[Optional[PropagationStructure]]] = None,
     ) -> List[GSPResult]:
         """Answer several time slots in one call.
@@ -743,8 +722,6 @@ class GSPEngine:
         Args:
             items: Per-slot propagation inputs.
             config: Solver knobs applied to every item.
-            initial_fields: Optional per-item warm-start seeds, aligned
-                with ``items`` (``None`` entries cold-start from μ).
             structures: Optional per-item compiled structures, aligned
                 with ``items`` (``None`` entries compile their own; see
                 :meth:`propagate`).
@@ -752,19 +729,14 @@ class GSPEngine:
         Returns:
             One :class:`GSPResult` per item, in input order.
         """
-        none: List[None] = [None] * len(items)
-        seeds = initial_fields if initial_fields is not None else none
-        compiled = structures if structures is not None else none
-        for name, given in (("initial_fields", seeds), ("structures", compiled)):
-            if len(given) != len(items):
-                raise ModelError(
-                    f"{name} length {len(given)} does not match {len(items)} items"
-                )
-        return [
-            self.propagate(
-                params, observed, config, initial_field=seed, structure=structure
+        compiled = structures if structures is not None else [None] * len(items)
+        if len(compiled) != len(items):
+            raise ModelError(
+                f"structures length {len(compiled)} does not match {len(items)} items"
             )
-            for (params, observed), seed, structure in zip(items, seeds, compiled)
+        return [
+            self.propagate(params, observed, config, structure=structure)
+            for (params, observed), structure in zip(items, compiled)
         ]
 
 

@@ -342,8 +342,8 @@ class CrowdRTSE:
     ) -> "BackendEstimate":
         """Run one backend's per-request estimator on gathered probes.
 
-        Any served backend qualifies: the built-in ``rtf_gsp`` (a cold
-        GSP start on the snapshot's own slots) or an attached one.  The
+        Any served backend qualifies: the built-in ``rtf_gsp`` (GSP on
+        the snapshot's own slots) or an attached one.  The
         serving layer's shadow mode calls it to re-score an answered
         query's probes.
 
@@ -519,8 +519,8 @@ class CrowdRTSE:
             )
 
         Args:
-            request: The query: roads, slot, budget, θ, selector and the
-                per-request latency knobs.
+            request: The query: roads, slot, budget, θ, selector,
+                backend and deadline.
             market: The crowd marketplace; fills a request whose
                 ``market`` is unset.
             truth: Ground-truth oracle the (simulated) workers measure;
@@ -601,7 +601,7 @@ class CrowdRTSE:
         group goes to its backend's
         :meth:`~repro.backends.base.EstimatorBackend.estimate_batch`
         hook in one call (for the built-in ``rtf_gsp``: one
-        warm-seeded :meth:`GSPEngine.propagate_batch` call).
+        :meth:`GSPEngine.propagate_batch` call).
 
         Returns:
             One outcome per query, in input order: its

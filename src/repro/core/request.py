@@ -5,13 +5,10 @@ pipeline (:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the
 serving layer (:meth:`~repro.serve.service.QueryService.submit`), the
 workload JSONL format, and the CLI all construct and consume it.
 
-The request also carries the per-query latency knob ``warm_start``:
-seed the propagation from the previous converged field of the same
-``(parameter digest, R^c)`` pair when one is cached
-(:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
-runs converge to the same fixed point within the solver's ε, not
-bit-identically — pass ``warm_start=False`` for answers that are
-byte-stable across repeated queries.
+The answer to a request is a pure function of the pinned slot
+parameters and the probes: every propagation starts from the prior
+means μ, so the same request with the same probes returns the same
+field bit for bit.
 """
 
 from __future__ import annotations
@@ -52,9 +49,6 @@ class EstimationRequest:
             with same-slot neighbours.
         backend: Estimator backend that turns the probes into the speed
             field (``"rtf_gsp"`` is the paper's GSP pipeline).
-        warm_start: Seed GSP from the previous converged field of the
-            same ``(parameter digest, R^c)`` when cached.  Converges to
-            the same fixed point within ε, not bit-identically.
         day: Test-day index used by workload replay drivers to bind
             per-day markets/truth oracles; ignored by the pipeline.
     """
@@ -70,7 +64,6 @@ class EstimationRequest:
     rng: Optional[np.random.Generator] = None
     coalescable: bool = True
     backend: str = "rtf_gsp"
-    warm_start: bool = True
     day: int = 0
 
     def __post_init__(self) -> None:

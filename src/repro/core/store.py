@@ -60,14 +60,9 @@ _KIND_PROPAGATION = "propagation"
 #: Persisted propagation arrays seeded from a snapshot file: never
 #: derived or counted, only read by the structure compile of their digest.
 _KIND_PROPAGATION_ARRAYS = "propagation_arrays"
-#: Warm-start GSP seed fields, keyed by slot-parameter digest.  Unlike
-#: the derived kinds these are *written back* after a propagation and
-#: explicitly dropped when a refresh replaces the slot (same atomic
-#: publish), so a stale seed can never outlive its parameters.
-_KIND_WARM_START = "warm_start"
 #: Kinds a publish drops for each digest it supersedes.
 _SUPERSEDED_KINDS = (
-    _KIND_WARM_START, _KIND_CORRELATION, _KIND_CORRELATION_ROWS,
+    _KIND_CORRELATION, _KIND_CORRELATION_ROWS,
     _KIND_PROPAGATION, _KIND_PROPAGATION_ARRAYS,
 )
 
@@ -440,52 +435,6 @@ class ModelSnapshot:
         """The GSP precision arrays the slot's structure was compiled from."""
         return self.propagation_structure(slot).arrays
 
-    # -- warm-start seed fields -----------------------------------------
-
-    def warm_field(
-        self, slot: int, observed_key: frozenset
-    ) -> Tuple[Optional[np.ndarray], str]:
-        """A previous converged GSP field usable as a warm-start seed.
-
-        The seed is keyed by the slot's parameter digest and guarded by
-        the observed set ``R^c`` it converged under: a refreshed slot's
-        new digest misses (and the refresh *also* drops the old entry in
-        the same publish — see :meth:`ModelStore._publish`), and a
-        different crowdsourced selection falls back to cold start.
-
-        Returns:
-            ``(field, outcome)`` where ``outcome`` is ``"hit"``,
-            ``"miss"`` (nothing cached) or ``"mismatch"`` (cached under a
-            different ``R^c``); ``field`` is a read-only float64 array on
-            hit, else ``None``.
-        """
-        entry = self._artifacts.peek(_KIND_WARM_START, self.digest(slot))
-        if entry is None:
-            return None, "miss"
-        field, cached_key = entry  # type: ignore[misc]
-        if cached_key != observed_key:
-            return None, "mismatch"
-        return field, "hit"
-
-    def store_warm_field(
-        self, slot: int, observed_key: frozenset, field: np.ndarray
-    ) -> None:
-        """Cache a converged GSP field as the slot's warm-start seed.
-
-        Raises:
-            ModelError: On a shape mismatch with the network.
-        """
-        arr = np.array(field, dtype=np.float64, copy=True)
-        if arr.shape != (self._network.n_roads,):
-            raise ModelError(
-                f"warm field shape {arr.shape} does not match "
-                f"{self._network.n_roads} roads"
-            )
-        arr.setflags(write=False)
-        self._artifacts.seed(
-            _KIND_WARM_START, self.digest(slot), (arr, frozenset(observed_key))
-        )
-
 
 class ModelStore:
     """Versioned holder of RTF parameters with atomic publishes.
@@ -674,15 +623,10 @@ class ModelStore:
                     else backend_states,
                 )
                 self._current = snapshot
-                # Same atomic publish: a refreshed slot's warm-start seed
-                # is dropped before any reader can observe the new
-                # version.  A reader still pinned on the old snapshot at
-                # worst cold-starts (miss); a reader of the new version
-                # can never be seeded from pre-refresh parameters.  The
-                # superseded Γ_R (dense and row view) and propagation
-                # structure/arrays go too, so the LRU does not carry one
-                # per refresh; a reader pinned on the old version just
-                # re-derives what it reads.
+                # Same atomic publish: the superseded Γ_R (dense and row
+                # view) and propagation structure/arrays go, so the LRU
+                # does not carry one per refresh; a reader pinned on the
+                # old version just re-derives what it reads.
                 for stale in stale_digests:
                     for kind in _SUPERSEDED_KINDS:
                         self._artifacts.drop(kind, stale)

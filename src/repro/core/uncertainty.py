@@ -50,12 +50,14 @@ def conditional_variances(
     if free.size == 0:
         return variances
     solver = spla.splu(matrix.tocsc())
-    identity = np.eye(free.size)
-    # Column-by-column solve; for moderate n this is the simplest exact
-    # route to diag(A^-1).
+    # Column-by-column solve against one reused unit vector: for
+    # moderate n the simplest exact route to diag(A^-1), in O(n) memory.
+    unit = np.zeros(free.size)
     inverse_diag = np.empty(free.size)
     for k in range(free.size):
-        inverse_diag[k] = solver.solve(identity[:, k])[k]
+        unit[k] = 1.0
+        inverse_diag[k] = solver.solve(unit)[k]
+        unit[k] = 0.0
     variances[free] = inverse_diag
     if np.any(variances < -1e-9):
         raise ModelError("negative posterior variance: precision not PD")

@@ -108,7 +108,6 @@ def tune_theta(
                     theta=theta,
                     selector=selector,
                     rng=np.random.default_rng(seed + day),
-                    warm_start=False,
                 ),
                 market=market,
                 truth=truth,

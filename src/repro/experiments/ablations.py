@@ -142,7 +142,7 @@ def gsp_schedule_ablation(
     truth = truth_oracle_for(data.test_history, 0, data.slot)
     base = system.answer_query(
         EstimationRequest(
-            queried=data.queried, slot=data.slot, budget=budget, warm_start=False
+            queried=data.queried, slot=data.slot, budget=budget
         ),
         market=market,
         truth=truth,
@@ -191,7 +191,7 @@ def aggregation_ablation(
             )
             result = system.answer_query(
                 EstimationRequest(
-                    queried=data.queried, slot=data.slot, budget=budget, warm_start=False
+                    queried=data.queried, slot=data.slot, budget=budget
                 ),
                 market=market,
                 truth=truth,

@@ -82,7 +82,6 @@ def run(
                         queried=data.queried,
                         slot=slot,
                         budget=budgets[slot],
-                        warm_start=False,
                     ),
                     market=market,
                     truth=truth,

@@ -219,7 +219,6 @@ def run_estimation_trial(
             theta=theta if theta is not None else data.theta,
             selector=selector,
             rng=np.random.default_rng(seed + day),
-            warm_start=False,
         ),
         market=market,
         truth=truth,

@@ -83,7 +83,6 @@ def run(
                     slot=data.slot,
                     budget=budget,
                     rng=np.random.default_rng(seed + day),
-                    warm_start=False,
                 ),
                 market=market_for(data, seed=seed + day),
                 truth=truth,

@@ -84,7 +84,7 @@ def run_estimator_runtime(
         truth = truth_oracle_for(data.test_history, 0, data.slot)
         result = system.answer_query(
             EstimationRequest(
-                queried=data.queried, slot=data.slot, budget=budget, warm_start=False
+                queried=data.queried, slot=data.slot, budget=budget
             ),
             market=market,
             truth=truth,

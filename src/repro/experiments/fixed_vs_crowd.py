@@ -72,7 +72,6 @@ def run(
                 queried=queried,
                 slot=data.slot,
                 budget=min(data.budgets),
-                warm_start=False,
             ),
             market=market,
             truth=truth,
@@ -133,7 +132,7 @@ def _mean_probe_noise(data, system, queried, seed: int) -> float:
     truth = truth_oracle_for(data.test_history, 0, data.slot)
     result = system.answer_query(
         EstimationRequest(
-            queried=queried, slot=data.slot, budget=min(data.budgets), warm_start=False
+            queried=queried, slot=data.slot, budget=min(data.budgets)
         ),
         market=market,
         truth=truth,

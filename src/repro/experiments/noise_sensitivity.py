@@ -81,7 +81,6 @@ def run(
                     queried=data.queried,
                     slot=data.slot,
                     budget=use_budget,
-                    warm_start=False,
                 ),
                 market=market,
                 truth=truth,

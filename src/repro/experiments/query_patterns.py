@@ -70,7 +70,7 @@ def run(
             truth = truth_oracle_for(data.test_history, day, data.slot)
             result = system.answer_query(
                 EstimationRequest(
-                    queried=queried, slot=data.slot, budget=use_budget, warm_start=False
+                    queried=queried, slot=data.slot, budget=use_budget
                 ),
                 market=market,
                 truth=truth,

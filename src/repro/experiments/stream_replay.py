@@ -159,7 +159,6 @@ def run(
                                 slot=data.slot,
                                 budget=budget,
                                 rng=np.random.default_rng(seed + day),
-                                warm_start=False,
                             )
                         )
                     )

@@ -553,7 +553,6 @@ class QueryService:
             float(request.theta),
             request.selector,
             request.backend,
-            request.warm_start,
             id(request.market),
             id(request.truth),
             id(request.rng),

@@ -5,8 +5,7 @@ A workload trace is JSON-lines, one
 
     {"slot": 93, "queried": [3, 7, 11], "budget": 20}
     {"slot": 94, "queried": [3, 7, 11], "budget": 20, "day": 1,
-     "theta": 0.9, "selector": "hybrid", "deadline_s": 0.25,
-     "warm_start": false}
+     "theta": 0.9, "selector": "hybrid", "deadline_s": 0.25}
 
 ``repro serve --requests trace.jsonl`` replays such a trace through a
 :class:`~repro.serve.service.QueryService` and reports latency
@@ -35,7 +34,7 @@ from repro.serve.service import QueryService
 #: Keys a trace line may carry (anything else is rejected loudly).
 _TRACE_KEYS = {
     "slot", "queried", "budget", "theta", "selector", "deadline_s",
-    "day", "backend", "warm_start",
+    "day", "backend",
 }
 
 
@@ -80,8 +79,8 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
             required keys, unknown keys (typos should fail, not
             silently serve a default), non-integral ``queried``/``slot``/
             ``day`` values, a ``budget``/``theta``/``deadline_s`` that is
-            not a JSON number, a ``selector``/``backend`` that is not a
-            JSON string, or a ``warm_start`` that is not a JSON boolean.
+            not a JSON number, or a ``selector``/``backend`` that is not
+            a JSON string.
     """
     items: List[EstimationRequest] = []
     try:
@@ -105,11 +104,6 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
                 f"{where}: unknown keys {sorted(unknown)} "
                 f"(allowed: {sorted(_TRACE_KEYS)})"
             )
-        warm_start = record.get("warm_start", True)
-        if not isinstance(warm_start, bool):
-            raise DatasetError(
-                f"{where}: warm_start must be true or false, got {warm_start!r}"
-            )
         try:
             deadline_s: Optional[float] = None
             if record.get("deadline_s") is not None:
@@ -128,7 +122,6 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
                     backend=_string(
                         record.get("backend", DEFAULT_BACKEND), "backend", where
                     ),
-                    warm_start=warm_start,
                     day=_integral(record.get("day", 0), "day", where),
                 )
             )
@@ -144,9 +137,8 @@ def save_workload(
 ) -> None:
     """Write a trace back out as JSON-lines (inverse of :func:`load_workload`).
 
-    The latency knobs ``backend``/``warm_start`` are written only when
-    they differ from the request defaults, so default traces stay
-    minimal.
+    ``backend`` is written only when it differs from the default, so
+    default traces stay minimal.
     """
     lines = []
     for item in items:
@@ -162,8 +154,6 @@ def save_workload(
             record["deadline_s"] = item.deadline_s
         if item.backend != DEFAULT_BACKEND:
             record["backend"] = item.backend
-        if not item.warm_start:
-            record["warm_start"] = item.warm_start
         lines.append(json.dumps(record))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -59,7 +59,7 @@ def answer(world, seed=0, **overrides):
     kwargs.update(overrides)
     return world["system"].answer_query(
         repro.EstimationRequest(
-            queried=data.queried, slot=data.slot, warm_start=False, **kwargs
+            queried=data.queried, slot=data.slot, **kwargs
         ),
         market=market, truth=truth,
     )
@@ -389,7 +389,6 @@ class TestAnswerQueryDispatch:
                     slot=data.slot,
                     budget=15,
                     backend="lsmrn",
-                    warm_start=False,
                 ),
                 market=market, truth=truth,
             )

@@ -80,7 +80,6 @@ class TestRefresh:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=15,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -118,7 +117,6 @@ class TestAnswerQuery:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=20,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -133,7 +131,6 @@ class TestAnswerQuery:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=15,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -146,7 +143,6 @@ class TestAnswerQuery:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=20,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -162,7 +158,6 @@ class TestAnswerQuery:
                 budget=15,
                 selector=selector,
                 rng=np.random.default_rng(1),
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -176,7 +171,6 @@ class TestAnswerQuery:
                     slot=tiny_dataset.slot,
                     budget=15,
                     selector="genie",
-                    warm_start=False,
                 ),
                 market=market, truth=truth,
             )
@@ -187,7 +181,6 @@ class TestAnswerQuery:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=20,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -204,7 +197,6 @@ class TestAnswerQuery:
                 queried=tiny_dataset.queried,
                 slot=tiny_dataset.slot,
                 budget=25,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -232,7 +224,6 @@ class TestAnswerQuery:
                     queried=tiny_dataset.queried,
                     slot=tiny_dataset.slot,
                     budget=30,
-                    warm_start=False,
                 ),
                 market=market, truth=truth,
             )

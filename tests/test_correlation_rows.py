@@ -285,7 +285,7 @@ class TestServingAfterPublish:
         )
         return system.answer_query(
             repro.EstimationRequest(
-                queried=data.queried, slot=data.slot, budget=20, warm_start=False
+                queried=data.queried, slot=data.slot, budget=20
             ),
             market=market,
             truth=truth_oracle_for(data.test_history, 0, data.slot),

@@ -122,7 +122,6 @@ class TestAnswerQueryBoundary:
                     queried=tiny_dataset.queried,
                     slot=tiny_dataset.slot,
                     budget=15,
-                    warm_start=False,
                 ),
                 market=market, truth=truth,
             )

@@ -495,7 +495,7 @@ class TestShedOnFailing:
         from repro.serve import EstimationRequest, QueryService, ServeConfig
 
         request = EstimationRequest(
-            queried=(0, 1), slot=tiny_dataset.slot, budget=5, warm_start=False
+            queried=(0, 1), slot=tiny_dataset.slot, budget=5
         )
         obs_health.install(_failing_monitor())
         try:
@@ -519,7 +519,7 @@ class TestShedOnFailing:
         from repro.serve import EstimationRequest, QueryService, ServeConfig
 
         request = EstimationRequest(
-            queried=(0, 1), slot=tiny_dataset.slot, budget=5, warm_start=False
+            queried=(0, 1), slot=tiny_dataset.slot, budget=5
         )
         obs_health.install(_failing_monitor())
         try:

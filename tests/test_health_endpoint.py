@@ -186,7 +186,6 @@ class TestInternalErrorBlackBox:
                 ticket = service.submit(
                     EstimationRequest(
                         queried=(0, 1), slot=tiny_dataset.slot, budget=5,
-                        warm_start=False,
                     )
                 )
                 with pytest.raises(InternalError):

@@ -47,7 +47,6 @@ class TestFullPipelineSemiSyn:
                         queried=data.queried,
                         slot=data.slot,
                         budget=budget,
-                        warm_start=False,
                     ),
                     market=market, truth=truth,
                 )
@@ -74,7 +73,6 @@ class TestFullPipelineSemiSyn:
                 queried=data.queried,
                 slot=data.slot,
                 budget=20,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -86,7 +84,6 @@ class TestFullPipelineSemiSyn:
                 queried=data.queried,
                 slot=data.slot,
                 budget=20,
-                warm_start=False,
             ),
             market=market2, truth=truth,
         )
@@ -104,7 +101,6 @@ class TestFullPipelineSemiSyn:
                 queried=data.queried,
                 slot=data.slot,
                 budget=25,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )
@@ -187,7 +183,6 @@ class TestGMissionEndToEnd:
                 queried=data.queried,
                 slot=data.slot,
                 budget=16,
-                warm_start=False,
             ),
             market=market, truth=truth,
         )

@@ -50,7 +50,6 @@ def run_query(query_world, **kwargs):
             slot=data.slot,
             budget=20,
             rng=np.random.default_rng(6),
-            warm_start=False,
         ),
         market=market, truth=truth, **kwargs,
     )

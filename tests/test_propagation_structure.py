@@ -54,7 +54,6 @@ def _request(data, slot):
         ),
         truth=truth_oracle_for(data.test_history, 0, slot),
         rng=np.random.default_rng(slot),
-        warm_start=False,
     )
 
 

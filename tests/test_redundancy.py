@@ -301,7 +301,7 @@ class TestServedQueryDerivations:
         )
         result = system.answer_query(
             repro.EstimationRequest(
-                queried=data.queried, slot=data.slot, budget=30, warm_start=False
+                queried=data.queried, slot=data.slot, budget=30
             ),
             market=market,
             truth=truth_oracle_for(data.test_history, 0, data.slot),

@@ -41,8 +41,9 @@ class TestConstruction:
         with pytest.raises(ModelError, match="deadline_s"):
             EstimationRequest(queried=(1,), slot=0, budget=5, deadline_s=deadline_s)
 
-    def test_warm_start_defaults_on(self):
-        assert EstimationRequest(queried=(1,), slot=0, budget=5).warm_start is True
+    def test_warm_start_argument_is_gone(self):
+        with pytest.raises(TypeError, match="warm_start"):
+            EstimationRequest(queried=(1,), slot=0, budget=5, **{"warm_start": False})
 
 
 class TestBinding:

@@ -68,7 +68,6 @@ def make_request(world, slot=None, seed=0, **overrides):
         market=make_market(data, seed),
         truth=world["truths"][slot],
         rng=np.random.default_rng(seed),
-        warm_start=False,
     )
     kwargs.update(overrides)
     return EstimationRequest(**kwargs)
@@ -170,7 +169,6 @@ class TestAdmission:
                 slot=request.slot,
                 budget=request.budget,
                 rng=np.random.default_rng(11),
-                warm_start=False,
             ),
             market=make_market(serve_world["data"], 11), truth=request.truth,
         )
@@ -204,7 +202,6 @@ class TestAdmission:
                     budget=request.budget,
                     rng=np.random.default_rng(seed),
                     backend=request.backend,
-                    warm_start=False,
                 ),
                 market=make_market(serve_world["data"], seed),
                 truth=request.truth,
@@ -415,7 +412,6 @@ class TestCoalescing:
                     theta=request.theta,
                     selector=request.selector,
                     rng=np.random.default_rng(100 + k),
-                    warm_start=False,
                 ),
                 market=make_market(data, 100 + k), truth=request.truth,
             )
@@ -637,7 +633,6 @@ class TestWorkload:
             EstimationRequest(
                 queried=(4,), slot=94, budget=10.0, theta=0.9,
                 selector="ratio", deadline_s=0.25, day=1,
-                warm_start=False,
             ),
         ]
         path = tmp_path / "trace.jsonl"
@@ -660,11 +655,17 @@ class TestWorkload:
         with pytest.raises(errors.DatasetError, match="unknown keys.*precision"):
             load_workload(path)
 
+    def test_warm_start_key_rejected(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"slot": 1, "queried": [1], "budget": 5, "warm_start": false}\n'
+        )
+        with pytest.raises(errors.DatasetError, match="unknown keys.*warm_start"):
+            load_workload(path)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("warm_start", "false", "warm_start must be true or false"),
-            ("warm_start", 0, "warm_start must be true or false"),
             ("queried", [1.7], "queried must be an integer"),
             ("queried", [True], "queried must be an integer"),
             ("queried", "12", "queried must be a list"),
@@ -681,7 +682,7 @@ class TestWorkload:
             ("backend", ["per"], "backend must be a string"),
         ],
         ids=[
-            "warm_start-str", "warm_start-int", "queried-float", "queried-bool",
+            "queried-float", "queried-bool",
             "queried-str", "day-float", "slot-float", "slot-str",
             "budget-bool", "budget-str", "theta-str", "theta-bool",
             "deadline_s-str", "deadline_s-bool", "selector-int", "backend-list",
@@ -753,7 +754,7 @@ class TestWorkload:
                 queried=item.queried,
                 slot=item.slot,
                 budget=item.budget,
-                truth=serve_world["truths"][item.slot], warm_start=False,
+                truth=serve_world["truths"][item.slot],
             )
 
         market = make_market(serve_world["data"], 7)

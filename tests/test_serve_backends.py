@@ -51,7 +51,6 @@ def make_request(world, slot=None, seed=0, **overrides):
         market=make_market(data, seed),
         truth=world["truths"][slot],
         rng=np.random.default_rng(seed),
-        warm_start=False,
     )
     kwargs.update(overrides)
     return EstimationRequest(**kwargs)
@@ -197,7 +196,6 @@ class TestBackendCoalescing:
                 slot=served.request.slot,
                 budget=served.request.budget,
                 rng=np.random.default_rng(300),
-                warm_start=False,
             ),
             market=make_market(data, 300), truth=served.request.truth,
         )

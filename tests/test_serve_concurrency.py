@@ -51,7 +51,6 @@ def _request(world, seed):
         ),
         truth=world["truth"],
         rng=np.random.default_rng(seed),
-        warm_start=False,
     )
 
 
@@ -206,7 +205,6 @@ class TestCoalescingUnderWorkerRace:
             budget=12,
             market=market,
             truth=world["truth"],
-            warm_start=False,
         )
         service = QueryService(
             world["system"], config=ServeConfig(num_workers=4), autostart=False

@@ -75,7 +75,6 @@ def _request(world, seed: int) -> EstimationRequest:
         ),
         truth=world["truth"],
         rng=np.random.default_rng(seed),
-        warm_start=False,
     )
 
 
