@@ -89,14 +89,9 @@ class RTFGSPBackend(EstimatorBackend):
 
     name = "rtf_gsp"
 
-    def __init__(
-        self,
-        network: TrafficNetwork,
-        gsp_config: Optional[GSPConfig] = None,
-    ) -> None:
+    def __init__(self, network: TrafficNetwork) -> None:
         super().__init__(network)
         self._engine = GSPEngine(network)
-        self._gsp_config = gsp_config
 
     @property
     def engine(self) -> GSPEngine:
@@ -148,10 +143,7 @@ class RTFGSPBackend(EstimatorBackend):
         view = self._state_of(state).params
         cached = view.structure if isinstance(view, _SlotView) else None
         result = self._engine.propagate(
-            params,
-            probes,
-            self._gsp_config,
-            structure=cached(slot) if cached is not None else None,
+            params, probes, structure=cached(slot) if cached is not None else None
         )
         return result.speeds, {
             "sweeps": result.sweeps,
@@ -172,7 +164,6 @@ class RTFGSPBackend(EstimatorBackend):
         every query in the call (stray internal exceptions arrive as
         ``InternalError("gsp")``).
         """
-        config = gsp_config if gsp_config is not None else self._gsp_config
         outcomes: Dict[int, Union[BackendEstimate, ReproError]] = {}
         members: List[int] = []
         items: List[Tuple[RTFSlot, Mapping[int, float]]] = []
@@ -197,7 +188,7 @@ class RTFGSPBackend(EstimatorBackend):
                     for query in group
                 ]
                 results = self._engine.propagate_batch(
-                    items, config, structures=structures
+                    items, gsp_config, structures=structures
                 )
         except ReproError as exc:
             return [outcomes.get(k, exc) for k in range(len(queries))]

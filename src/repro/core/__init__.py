@@ -41,9 +41,7 @@ from repro.core.gsp import (
     GSPSchedule,
     PropagationStructure,
     build_propagation_structure,
-    independent_update_groups,
     propagate,
-    propagate_batch,
 )
 from repro.core.allocation import allocate_budget, slot_need
 from repro.core.exact_inference import (
@@ -104,9 +102,7 @@ __all__ = [
     "GSPSchedule",
     "PropagationStructure",
     "build_propagation_structure",
-    "independent_update_groups",
     "propagate",
-    "propagate_batch",
     "allocate_budget",
     "slot_need",
     "exact_conditional_mean",

@@ -13,33 +13,34 @@ its neighbours' propagated values (Eq. 18):
                  {1/\\sigma_i^2 + \\sum_{j \\in n(i)} 1/\\sigma_{ij}^2}
 
 Updates are scheduled by BFS layers from ``R^c`` (closest roads first),
-swept repeatedly until the largest value change drops below ε.  Two
-alternative schedules (random order, plain index order) are provided for
-the ablation bench, plus two variants from the parallelization
-discussion at the end of §VI: ``BFS_PARALLEL`` (Jacobi within a layer —
-it matches its own reference loop, not Alg. 5's sequential sweep) and
-``BFS_COLORED`` (non-adjacent colour groups — equal to a sequential
-sweep in colour order).
+swept repeatedly until the largest value change drops below ε.  That is
+the ``BFS`` schedule, Alg. 5 itself.  ``BFS_PARALLEL`` keeps the layers
+but updates each one Jacobi-style (all reads before any write), so it
+matches its own reference loop, not Alg. 5's sequential sweep.  Other
+sweep orders (colour groups, index order, a random permutation per
+sweep) live only in the ablation study
+(:func:`repro.experiments.ablations.gsp_schedule_ablation`).
 
 Two kernels implement the sweep:
 
 * the **reference** kernel — the per-node Python loop of Alg. 5, kept
   verbatim as the correctness oracle, and
-* the **vectorized** kernel — a CSR-style flat neighbour structure
-  (:class:`PropagationStructure`) plus per-group gather/segment-sum
-  arrays (:class:`CompiledSchedule`), which updates a whole group of
-  mutually non-adjacent roads in one fused numpy operation.  The groups
-  are the BFS layers (``BFS_PARALLEL``), the colour groups
-  (``BFS_COLORED``), or — for the sequential ``BFS`` and ``INDEX``
-  orders — wavefront levels: the level scheduling of sparse triangular
-  solves, under which the fused sweep performs exactly the updates of
-  the sequential one.  So the default ``BFS`` schedule runs Alg. 5
-  itself on the fused kernel; only ``RANDOM`` needs the reference loop.
+* the **vectorized** kernel (the default) — a CSR-style flat neighbour
+  structure (:class:`PropagationStructure`) plus per-group
+  gather/segment-sum arrays (:class:`CompiledSchedule`), which updates a
+  whole group of mutually non-adjacent roads in one fused numpy
+  operation.  The groups are the BFS layers (``BFS_PARALLEL``) or, for
+  the sequential ``BFS`` order, wavefront levels: the level scheduling
+  of sparse triangular solves, under which the fused sweep performs
+  exactly the updates of the sequential one.  A wavefront level is a set
+  of non-adjacent roads of one sweep, so it meets §VI's parallelization
+  condition, and the default path runs Alg. 5 itself on the fused
+  kernel.
 
 :class:`GSPEngine` owns both kernels for one network and caches the
-BFS layers / colourings per ``frozenset(R^c)``, so repeated queries with
-overlapping selections skip the graph work.  The per-slot propagation
-structure is an input: the serving path hands in the one its
+compiled groups per ``(schedule, frozenset(R^c))``, so repeated queries
+with overlapping selections skip the graph work.  The per-slot
+propagation structure is an input: the serving path hands in the one its
 :class:`~repro.core.store.ModelSnapshot` compiled once per slot digest
 (:meth:`~repro.core.store.ModelSnapshot.propagation_structure`); a call
 without one compiles it for that call only.
@@ -54,7 +55,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,78 +72,21 @@ class GSPSchedule(str, enum.Enum):
     BFS = "bfs"
     #: Same BFS layers, but Jacobi *within* each layer (parallelizable).
     BFS_PARALLEL = "bfs-parallel"
-    #: BFS layers split into independent (non-adjacent) colour groups —
-    #: the exact parallelization condition of §VI: updates within one
-    #: group commute, so the result equals a sequential Gauss-Seidel
-    #: sweep in colour order (not Alg. 5's BFS order).
-    BFS_COLORED = "bfs-colored"
-    #: Random permutation per sweep (ablation).
-    RANDOM = "random"
-    #: Plain index order (ablation).
-    INDEX = "index"
 
 
 class GSPKernel(str, enum.Enum):
     """Which sweep implementation to run."""
 
-    #: Vectorized for every schedule but ``RANDOM``, reference for it.
-    AUTO = "auto"
     #: The per-node Python loop (Alg. 5 verbatim) — the testing oracle.
     REFERENCE = "reference"
-    #: Fused numpy group updates; any schedule except ``RANDOM``
-    #: (``BFS``/``INDEX`` run as wavefront groups, same arithmetic).
+    #: Fused numpy group updates (``BFS`` runs as wavefront groups, same
+    #: arithmetic as its sequential sweep).
     VECTORIZED = "vectorized"
 
-
-#: Fixed-order Gauss-Seidel schedules: the engine compiles their
-#: sequential update order into wavefront groups (see
-#: :func:`_wavefront_groups`), so the fused kernel runs the same sweep.
-_WAVEFRONT_SCHEDULES = frozenset({GSPSchedule.BFS, GSPSchedule.INDEX})
-
-#: Schedules the vectorized kernel runs: every schedule whose update
-#: groups are fixed across sweeps.  Only ``RANDOM`` (a fresh permutation
-#: per sweep) stays on the reference loop.
-VECTORIZABLE_SCHEDULES = frozenset(
-    {GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED} | _WAVEFRONT_SCHEDULES
-)
 
 #: LRU capacity of an engine's compiled-schedule cache (one entry per
 #: ``(schedule, R^c)`` pair).
 _MAX_SCHEDULES = 64
-
-
-def independent_update_groups(
-    network: TrafficNetwork, layer: Sequence[int]
-) -> List[List[int]]:
-    """Split one BFS layer into mutually non-adjacent groups.
-
-    Paper §VI: two variables can be updated in parallel iff they are in
-    the same partitioned group *and* not adjacent.  A greedy colouring
-    realizes that: within each returned group no two roads share an
-    edge, so their Eq. 18 updates read disjoint state and commute.
-
-    Args:
-        network: Road graph.
-        layer: Road indices of one BFS layer.
-
-    Returns:
-        Colour groups, each a list of road indices; their union is the
-        input layer.
-    """
-    color_of: Dict[int, int] = {}
-    groups: List[List[int]] = []
-    for road in layer:
-        used = {
-            color_of[j] for j in network.neighbors(road) if j in color_of
-        }
-        color = 0
-        while color in used:
-            color += 1
-        color_of[road] = color
-        while len(groups) <= color:
-            groups.append([])
-        groups[color].append(road)
-    return groups
 
 
 def _wavefront_groups(
@@ -189,22 +133,16 @@ class GSPConfig:
         epsilon: Convergence threshold on the max per-road change.
         max_sweeps: Sweep cap; a sweep updates every non-observed road.
         schedule: Update ordering; see :class:`GSPSchedule`.
-        kernel: Sweep implementation; see :class:`GSPKernel`.  The
-            vectorized kernel supports every schedule with a fixed
-            update order (:data:`VECTORIZABLE_SCHEDULES`); requesting it
-            with ``RANDOM`` raises :class:`ModelError` at propagation
-            time.
+        kernel: Sweep implementation; see :class:`GSPKernel`.
         strict: Raise :class:`ConvergenceError` when the sweep budget is
             exhausted (default: return the last iterate).
-        seed: RNG seed for the RANDOM schedule.
     """
 
     epsilon: float = 1e-3
     max_sweeps: int = 200
     schedule: GSPSchedule = GSPSchedule.BFS
-    kernel: GSPKernel = GSPKernel.AUTO
+    kernel: GSPKernel = GSPKernel.VECTORIZED
     strict: bool = False
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         # ``not 0 < x < inf`` also rejects NaN, which compares false.
@@ -216,23 +154,6 @@ class GSPConfig:
             raise ModelError(
                 f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}"
             )
-
-    def resolved_kernel(self) -> GSPKernel:
-        """The concrete kernel AUTO resolves to for this schedule."""
-        if self.kernel is GSPKernel.AUTO:
-            if self.schedule in VECTORIZABLE_SCHEDULES:
-                return GSPKernel.VECTORIZED
-            return GSPKernel.REFERENCE
-        if (
-            self.kernel is GSPKernel.VECTORIZED
-            and self.schedule not in VECTORIZABLE_SCHEDULES
-        ):
-            raise ModelError(
-                f"vectorized kernel requires a fixed-order schedule "
-                f"({sorted(s.value for s in VECTORIZABLE_SCHEDULES)}), "
-                f"got {self.schedule.value!r}"
-            )
-        return self.kernel
 
 
 @dataclass(frozen=True)
@@ -246,7 +167,7 @@ class GSPProvenance:
         structure_cache_hit: Whether the propagation structure was
             handed in rather than compiled by this call (False on the
             reference kernel, which reads none).
-        schedule_cache_hit: Whether the BFS layers / colouring came out
+        schedule_cache_hit: Whether the compiled update groups came out
             of the engine cache (mirrors ``gsp.cache.lookups``).
         warm_start: Always ``False``: every sweep starts from the prior
             means μ.  Kept only because the benchmark's span recorder
@@ -342,7 +263,7 @@ class _GroupKernel:
 
 @dataclass(frozen=True)
 class CompiledSchedule:
-    """Update groups (layers / colours / wavefronts) in CSR layout.
+    """Update groups (layers / wavefronts) in CSR layout.
 
     Depends only on the topology and ``frozenset(R^c)`` — never on slot
     parameters — so one compilation serves every slot.
@@ -350,8 +271,7 @@ class CompiledSchedule:
     Attributes:
         schedule: The ordering this compilation realizes.
         groups: Fused-update groups, swept in order (layers for
-            ``BFS_PARALLEL``, colour groups for ``BFS_COLORED``,
-            wavefront levels for ``BFS``/``INDEX``).
+            ``BFS_PARALLEL``, wavefront levels for ``BFS``).
         node_groups: The same groups as plain index lists.
     """
 
@@ -428,49 +348,11 @@ def _compile_groups(
     return tuple(kernels)
 
 
-def _schedule_node_groups(
-    network: TrafficNetwork,
-    schedule: GSPSchedule,
-    sources: Sequence[int],
-    clamped: np.ndarray,
-    free: Sequence[int],
-) -> List[List[int]]:
-    """The update groups of one sweep (sweep-invariant schedules only)."""
-    if schedule in (
-        GSPSchedule.BFS,
-        GSPSchedule.BFS_PARALLEL,
-        GSPSchedule.BFS_COLORED,
-    ):
-        if sources:
-            layers = [
-                [i for i in layer if not clamped[i]]
-                for layer in network.bfs_layers(sorted(sources))
-            ]
-            layers = [layer for layer in layers if layer]
-        else:
-            layers = [list(free)] if free else []
-        if schedule is GSPSchedule.BFS_COLORED:
-            # Refine each layer into independent groups; groups are then
-            # swept Gauss-Seidel, but within a group every update could
-            # run on its own core with an identical result.
-            layers = [
-                group
-                for layer in layers
-                for group in independent_update_groups(network, layer)
-            ]
-        return layers
-    if schedule is GSPSchedule.INDEX:
-        return [list(free)] if free else []
-    if schedule is GSPSchedule.RANDOM:
-        return [list(free)] if free else []  # permuted per sweep by the kernel
-    raise ModelError(f"unknown schedule {schedule!r}")  # pragma: no cover
-
-
 class GSPEngine:
     """Vectorized GSP solver with a cached schedule compilation for one network.
 
     The engine keeps one keyed LRU: the :class:`CompiledSchedule` per
-    ``(schedule, frozenset(R^c))``.  Layers and colourings depend only
+    ``(schedule, frozenset(R^c))``.  Layers and wavefronts depend only
     on topology and the observed set, so one compilation serves every
     slot and every repeated query with the same selection.  The per-slot
     :class:`PropagationStructure` is an input (see :meth:`propagate`).
@@ -523,17 +405,10 @@ class GSPEngine:
                     "gsp.cache.lookups", {"cache": "schedule", "result": "hit"}
                 ).inc()
                 return cached, True
-        n = self._network.n_roads
-        clamped = np.zeros(n, dtype=bool)
-        for road in observed_roads:
-            clamped[road] = True
-        free = [i for i in range(n) if not clamped[i]]
-        node_groups = _schedule_node_groups(
-            self._network, schedule, sorted(observed_roads), clamped, free
-        )
-        if schedule in _WAVEFRONT_SCHEDULES:
+        node_groups = self._network.bfs_layers(sorted(observed_roads))
+        if schedule is GSPSchedule.BFS:
             node_groups = _wavefront_groups(
-                self._network, [road for group in node_groups for road in group]
+                self._network, [road for layer in node_groups for road in layer]
             )
         compiled = CompiledSchedule(
             schedule=schedule,
@@ -578,8 +453,7 @@ class GSPEngine:
             A :class:`GSPResult`.
 
         Raises:
-            ModelError: On index/shape problems or an impossible
-                kernel/schedule combination.
+            ModelError: On index/shape problems.
             ConvergenceError: In ``strict`` mode when ε is not reached.
 
         Warns:
@@ -588,7 +462,7 @@ class GSPEngine:
                 ``gsp.convergence.failures`` metric).
         """
         cfg = config or GSPConfig()
-        kernel = cfg.resolved_kernel()
+        kernel = cfg.kernel
         params.check_against(self._network)
         n = self._network.n_roads
         for road, value in observed.items():
@@ -716,8 +590,8 @@ class GSPEngine:
         """Answer several time slots in one call.
 
         Each item is a ``(slot parameters, observed speeds)`` pair; the
-        BFS/colouring compilation is shared across items whose observed
-        sets coincide.
+        schedule compilation is shared across items whose observed sets
+        coincide.
 
         Args:
             items: Per-slot propagation inputs.
@@ -837,17 +711,11 @@ def _reference_sweeps(
     cfg: GSPConfig,
 ) -> Tuple[np.ndarray, int, bool, List[float]]:
     """The per-node Alg. 5 loop — the oracle the fast path is tested against."""
-    n = network.n_roads
-    clamped = np.zeros(n, dtype=bool)
-    for road in observed_set:
-        clamped[road] = True
-    free = [i for i in range(n) if not clamped[i]]
     prior_precision, prior_pull, neighbor_idx, edge_weight = _build_update_structure(
         network, params
     )
     mu = params.mu
-    rng = np.random.default_rng(cfg.seed)
-    layers = _schedule_node_groups(network, cfg.schedule, sorted(observed_set), clamped, free)
+    layers = network.bfs_layers(sorted(observed_set))
 
     def updated_value(i: int, values: np.ndarray) -> float:
         neigh = neighbor_idx[i]
@@ -870,23 +738,19 @@ def _reference_sweeps(
     for sweep in range(1, cfg.max_sweeps + 1):
         sweeps = sweep
         max_delta = 0.0
-        if cfg.schedule is GSPSchedule.RANDOM:
-            order_layers = [list(rng.permutation(free))]
-        else:
-            order_layers = layers
         if cfg.schedule is GSPSchedule.BFS_PARALLEL:
-            for layer in order_layers:
+            for layer in layers:
                 # Jacobi within the layer: all reads before any write.
-                new_values = [updated_value(int(i), speeds) for i in layer]
+                new_values = [updated_value(i, speeds) for i in layer]
                 for i, value in zip(layer, new_values):
-                    max_delta = max(max_delta, abs(value - speeds[int(i)]))
-                    speeds[int(i)] = value
+                    max_delta = max(max_delta, abs(value - speeds[i]))
+                    speeds[i] = value
         else:
-            for layer in order_layers:
+            for layer in layers:
                 for i in layer:
-                    value = updated_value(int(i), speeds)
-                    max_delta = max(max_delta, abs(value - speeds[int(i)]))
-                    speeds[int(i)] = value
+                    value = updated_value(i, speeds)
+                    max_delta = max(max_delta, abs(value - speeds[i]))
+                    speeds[i] = value
         history.append(max_delta)
         if trace_sweeps:
             tracer.event("gsp.sweep", sweep=sweep, max_delta=max_delta)
@@ -927,12 +791,3 @@ def propagate(
         ConvergenceError: In ``strict`` mode when ε is not reached.
     """
     return GSPEngine(network).propagate(params, observed, config)
-
-
-def propagate_batch(
-    network: TrafficNetwork,
-    items: Sequence[Tuple[RTFSlot, Mapping[int, float]]],
-    config: Optional[GSPConfig] = None,
-) -> List[GSPResult]:
-    """Answer several time slots in one call (see :meth:`GSPEngine.propagate_batch`)."""
-    return GSPEngine(network).propagate_batch(items, config)

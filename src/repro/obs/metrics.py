@@ -11,7 +11,7 @@ paths write into.  Design constraints (set by the online loop):
   and value updates (updates are tiny; contention is negligible next to
   the numpy work they measure).
 * **Labeled series** — a metric name plus a small label mapping, e.g.
-  ``gsp.sweeps{schedule="bfs-colored"}``.  Cardinality is bounded per
+  ``gsp.sweeps{schedule="bfs-parallel"}``.  Cardinality is bounded per
   metric name (:attr:`MetricsRegistry.max_series_per_metric`) so a bug
   cannot grow the registry without bound.
 

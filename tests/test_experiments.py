@@ -264,6 +264,28 @@ class TestAblations:
         schedules = {r.variant for r in rows}
         assert "bfs" in schedules and "random" in schedules
 
+    @pytest.mark.parametrize("name", ["bfs-colored", "random", "index"])
+    def test_ablation_order_reaches_exact_mean(self, small_world, name):
+        from repro.core.exact_inference import exact_conditional_mean
+        from repro.core.gsp import GSPConfig
+
+        network = small_world["network"]
+        params = small_world["params"]
+        observed = {
+            0: float(params.mu[0] * 0.6),
+            9: float(params.mu[9] * 1.3),
+            21: float(params.mu[21] * 0.9),
+        }
+        order = ablations._ablation_orders(network, observed)[name]
+        speeds, sweeps = ablations._gauss_seidel(
+            network, params, observed, order, GSPConfig(epsilon=1e-11, max_sweeps=8000)
+        )
+        assert sweeps < 8000
+        for road, value in observed.items():
+            assert speeds[road] == value
+        exact = exact_conditional_mean(network, params, observed)
+        np.testing.assert_allclose(speeds, exact, rtol=0, atol=1e-6)
+
     def test_aggregation_rows(self):
         rows = ablations.aggregation_ablation(QUICK, n_trials=2)
         assert {r.variant for r in rows} == {"mean", "median", "trimmed-mean"}

@@ -67,9 +67,9 @@ class TestGoldenOracle:
         "schedule,kernel",
         [
             (GSPSchedule.BFS, GSPKernel.REFERENCE),
+            (GSPSchedule.BFS, GSPKernel.VECTORIZED),
             (GSPSchedule.BFS_PARALLEL, GSPKernel.REFERENCE),
             (GSPSchedule.BFS_PARALLEL, GSPKernel.VECTORIZED),
-            (GSPSchedule.BFS_COLORED, GSPKernel.VECTORIZED),
         ],
     )
     def test_gsp_lands_on_golden_optimum(self, world, schedule, kernel):

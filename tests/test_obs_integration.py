@@ -132,7 +132,7 @@ class TestMetricsCatalog:
         params = small_world["params"]
         snapshot = repro.ModelStore.from_slots(small_world["network"], [params]).current()
         observed = {0: 30.0, 7: 45.0}
-        cfg = GSPConfig(schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED)
+        cfg = GSPConfig(schedule=GSPSchedule.BFS_PARALLEL, kernel=GSPKernel.VECTORIZED)
         for _ in range(2):
             structure = snapshot.propagation_structure(params.slot)
             engine.propagate(params, observed, cfg, structure=structure)

@@ -10,9 +10,9 @@ invariants that no example may break:
   schedule returns arrays equal to a cold run, and stale structures are
   impossible because the store keys them by content digests of the slot
   parameters;
-* wavefront compilation — the fused groups of the sequential ``BFS`` /
-  ``INDEX`` orders partition the free roads, never hold two adjacent
-  roads, and order every edge's endpoints as the sequential sweep does.
+* wavefront compilation — the fused groups of the sequential ``BFS``
+  order partition the free roads, never hold two adjacent roads, and
+  order every edge's endpoints as the sequential sweep does.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 world_seeds = st.integers(min_value=0, max_value=10_000)
 observed_fractions = st.floats(min_value=0.0, max_value=1.0)
-schedules = st.sampled_from(
-    [GSPSchedule.BFS, GSPSchedule.BFS_PARALLEL, GSPSchedule.BFS_COLORED]
-)
-wavefront_schedules = st.sampled_from([GSPSchedule.BFS, GSPSchedule.INDEX])
+schedules = st.sampled_from(list(GSPSchedule))
 
 
 def make_world(seed: int, fraction: float):
@@ -131,26 +128,22 @@ class TestKernelInvariants:
         assert warm.sweeps == cold.sweeps
 
 
-def sequential_order(network, schedule, observed):
-    """The free roads in the order the reference loop updates them."""
-    if schedule is GSPSchedule.INDEX or not observed:
-        roads = range(network.n_roads)
-    else:
-        roads = [i for layer in network.bfs_layers(sorted(observed)) for i in layer]
-    return [i for i in roads if i not in observed]
-
-
 class TestWavefrontCompile:
     @SETTINGS
-    @given(seed=world_seeds, fraction=observed_fractions, schedule=wavefront_schedules)
-    def test_groups_replay_the_sequential_order(self, seed, fraction, schedule):
+    @given(seed=world_seeds, fraction=observed_fractions)
+    def test_groups_replay_the_sequential_order(self, seed, fraction):
         network, params, observed = make_world(seed, fraction)
         engine = GSPEngine(network)
         structure = build_propagation_structure(
             network, params.propagation_arrays(network)
         )
-        compiled, _ = engine.schedule_for(schedule, frozenset(observed), structure)
-        order = sequential_order(network, schedule, observed)
+        compiled, _ = engine.schedule_for(
+            GSPSchedule.BFS, frozenset(observed), structure
+        )
+        # The free roads in the order the reference loop updates them.
+        order = [
+            i for layer in network.bfs_layers(sorted(observed)) for i in layer
+        ]
         group_of = {
             road: g for g, group in enumerate(compiled.node_groups) for road in group
         }
@@ -208,9 +201,7 @@ class TestCacheInvalidation:
         structure = build_propagation_structure(
             network, params.propagation_arrays(network)
         )
-        config = GSPConfig(
-            schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED
-        )
+        config = GSPConfig(schedule=GSPSchedule.BFS, kernel=GSPKernel.VECTORIZED)
         engine.propagate(params, observed, config, structure=structure)
         smaller = dict(list(observed.items())[:-1])
         result = engine.propagate(params, smaller, config, structure=structure)

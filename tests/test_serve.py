@@ -415,9 +415,7 @@ class TestCoalescing:
                 ),
                 market=make_market(data, 100 + k), truth=request.truth,
             )
-            np.testing.assert_allclose(
-                result.estimates_kmh, oracle.estimates_kmh, rtol=1e-10
-            )
+            np.testing.assert_array_equal(result.estimates_kmh, oracle.estimates_kmh)
             assert result.model_version == oracle.model_version
 
     def test_non_coalescable_requests_run_alone(self, serve_world):
