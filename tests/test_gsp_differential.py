@@ -109,14 +109,18 @@ class TestDifferential:
         )
         assert result.kernel is GSPKernel.VECTORIZED
         assert result.schedule is schedule
-        # An explicit REFERENCE kernel runs the per-node loop.
-        result = repro.propagate(
-            network,
-            params,
-            observed,
-            GSPConfig(schedule=schedule, kernel=GSPKernel.REFERENCE),
-        )
-        assert result.kernel is GSPKernel.REFERENCE
+
+    def test_explicit_reference_kernel_runs_per_node_loop(self):
+        network, params, observed = make_world("grid", 0.1, seed=4)
+        for schedule in PARALLEL_SCHEDULES + WAVEFRONT_SCHEDULES:
+            result = repro.propagate(
+                network,
+                params,
+                observed,
+                GSPConfig(schedule=schedule, kernel=GSPKernel.REFERENCE),
+            )
+            assert result.kernel is GSPKernel.REFERENCE
+            assert result.schedule is schedule
 
     def test_all_observed_short_circuits_both_kernels(self):
         network, params, observed = make_world("ring-radial", 1.0, seed=6)
