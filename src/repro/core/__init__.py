@@ -54,8 +54,7 @@ from repro.core.uncertainty import (
     confidence_intervals,
     most_uncertain_roads,
 )
-from repro.core.online_update import OnlineRTFUpdater, refresh_model, refresh_slots
-from repro.core.local_search import greedy_plus_local_search, local_search
+from repro.core.online_update import OnlineRTFUpdater, refresh_slots
 from repro.core.store import (
     ModelSnapshot,
     ModelStore,
@@ -112,7 +111,6 @@ __all__ = [
     "confidence_intervals",
     "most_uncertain_roads",
     "OnlineRTFUpdater",
-    "refresh_model",
     "refresh_slots",
     "ModelSnapshot",
     "ModelStore",
@@ -124,8 +122,6 @@ __all__ = [
     "verify_digests",
     "write_snapshot",
     "EstimationRequest",
-    "greedy_plus_local_search",
-    "local_search",
     "CrowdRTSE",
     "QueryResult",
 ]

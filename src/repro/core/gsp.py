@@ -132,8 +132,10 @@ class GSPConfig:
     Attributes:
         epsilon: Convergence threshold on the max per-road change.
         max_sweeps: Sweep cap; a sweep updates every non-observed road.
-        schedule: Update ordering; see :class:`GSPSchedule`.
-        kernel: Sweep implementation; see :class:`GSPKernel`.
+        schedule: Update ordering; see :class:`GSPSchedule`.  A member's
+            string value (``"bfs"``) is coerced to the member.
+        kernel: Sweep implementation; see :class:`GSPKernel`, coerced
+            the same way.
         strict: Raise :class:`ConvergenceError` when the sweep budget is
             exhausted (default: return the last iterate).
     """
@@ -154,6 +156,18 @@ class GSPConfig:
             raise ModelError(
                 f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}"
             )
+        for name, kind in (("schedule", GSPSchedule), ("kernel", GSPKernel)):
+            value = getattr(self, name)
+            if isinstance(value, kind):
+                continue
+            try:
+                member = kind(value)
+            except (ValueError, TypeError):
+                choices = ", ".join(repr(m.value) for m in kind)
+                raise ModelError(
+                    f"{name} must be one of {choices}, got {value!r}"
+                ) from None
+            object.__setattr__(self, name, member)
 
 
 @dataclass(frozen=True)

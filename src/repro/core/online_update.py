@@ -20,12 +20,12 @@ loop is needed per day.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError, warn_once
-from repro.core.rtf import RTFModel, RTFSlot, SIGMA_FLOOR
+from repro.core.rtf import RTFSlot, SIGMA_FLOOR
 from repro.network.graph import TrafficNetwork
 from repro.obs import get_metrics
 
@@ -33,12 +33,11 @@ from repro.obs import get_metrics
 def note_unfitted_slots(dropped: Sequence[int], available: Sequence[int]) -> None:
     """Account for observations targeting slots the model never fitted.
 
-    Historically :func:`refresh_model` filtered such slots silently — a
-    stream wired to the wrong slot window would feed a model that never
-    moved, with no trace.  Every dropped slot now lands in the
-    ``stream.dropped{reason="unfitted_slot"}`` counter, and the first
-    occurrence warns (once per process; the condition repeats every
-    batch, so more would be noise).
+    Filtering such slots silently would let a stream wired to the wrong
+    slot window feed a model that never moves, with no trace.  So every
+    dropped slot lands in the ``stream.dropped{reason="unfitted_slot"}``
+    counter, and the first occurrence warns (once per process; the
+    condition repeats every batch, so more would be noise).
     """
     if not dropped:
         return
@@ -164,10 +163,10 @@ def refresh_slots(
 ) -> List[RTFSlot]:
     """Advance exactly the touched slots by one daily sample.
 
-    The shared building block of :func:`refresh_model` and
-    :meth:`repro.core.store.ModelStore.refresh`: only slots named in
-    ``day_samples`` are updated and returned; everything else is left to
-    the caller's sharing strategy (copy-on-write in the store).
+    The building block of :meth:`repro.core.store.ModelStore.refresh`:
+    only slots named in ``day_samples`` are updated and returned;
+    everything else is left to the caller's sharing strategy
+    (copy-on-write in the store).
 
     Args:
         network: Road graph.
@@ -193,40 +192,3 @@ def refresh_slots(
         updater = OnlineRTFUpdater(network, current[slot], learning_rate)
         refreshed.append(updater.update(sample))
     return refreshed
-
-
-def refresh_model(
-    network: TrafficNetwork,
-    model: RTFModel,
-    day_samples: Dict[int, np.ndarray],
-    learning_rate: float = 0.05,
-) -> RTFModel:
-    """One-shot convenience: absorb one new day into several slots.
-
-    Args:
-        network: Road graph.
-        model: Current RTF model.
-        day_samples: Mapping slot → today's speed vector for that slot.
-            Slots absent from the mapping keep their parameters; sampled
-            slots the model never fitted are dropped — counted under
-            ``stream.dropped{reason="unfitted_slot"}`` and warned once.
-        learning_rate: Forgetting factor η.
-
-    Returns:
-        A new :class:`RTFModel` with the refreshed slots.
-    """
-    current = {slot: model.slot(slot) for slot in model.slots}
-    touched = {
-        slot: sample for slot, sample in day_samples.items() if slot in current
-    }
-    note_unfitted_slots(
-        [slot for slot in day_samples if slot not in current], sorted(current)
-    )
-    replacements = {
-        params.slot: params
-        for params in refresh_slots(network, current, touched, learning_rate)
-    }
-    return RTFModel(
-        network,
-        [replacements.get(slot, current[slot]) for slot in model.slots],
-    )

@@ -8,18 +8,16 @@ the minimum number of answers it requires).
 """
 
 from repro.crowd.workers import Worker, WorkerPool
-from repro.crowd.cost import CostModel, kind_based_costs, uniform_random_costs
+from repro.crowd.cost import CostModel, uniform_random_costs
 from repro.crowd.aggregation import Aggregator, aggregate_answers
 from repro.crowd.market import BudgetLedger, CrowdMarket, ProbeReceipt
-from repro.crowd.mobility import MobilityModel, stationary_coverage_estimate
+from repro.crowd.mobility import MobilityModel
 
 __all__ = [
     "MobilityModel",
-    "stationary_coverage_estimate",
     "Worker",
     "WorkerPool",
     "CostModel",
-    "kind_based_costs",
     "uniform_random_costs",
     "Aggregator",
     "aggregate_answers",

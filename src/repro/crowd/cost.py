@@ -3,19 +3,17 @@
 The paper defines a road's *cost* as the minimum number of answers that
 must be collected (and paid, one unit each) to get a reliable aggregate
 (§V-A "Feasibility").  Table II generates costs uniformly at random —
-C2 = U{1..5} and C1 = U{1..10} — which we reproduce, plus a road-kind
-based model reflecting the paper's observation that highway answers are
-stable and therefore cheap.
+C2 = U{1..5} and C1 = U{1..10} — which we reproduce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import BudgetError
-from repro.network.graph import RoadKind, TrafficNetwork
+from repro.network.graph import TrafficNetwork
 
 
 class CostModel:
@@ -82,26 +80,4 @@ def uniform_random_costs(
         raise BudgetError(f"need 0 < low <= high, got low={low}, high={high}")
     rng = np.random.default_rng(seed)
     costs = rng.integers(low, high + 1, size=network.n_roads)
-    return CostModel(network, costs)
-
-
-#: Default costs per road kind: stable highways need few answers.
-_KIND_COSTS: Dict[RoadKind, Tuple[int, int]] = {
-    RoadKind.HIGHWAY: (1, 3),
-    RoadKind.ARTERIAL: (2, 6),
-    RoadKind.LOCAL: (3, 10),
-}
-
-
-def kind_based_costs(network: TrafficNetwork, seed: Optional[int] = None) -> CostModel:
-    """Costs drawn per road kind — highways cheap, local streets dear.
-
-    Models the paper's example that highway speeds are stable so fewer
-    answers suffice (§V-A).
-    """
-    rng = np.random.default_rng(seed)
-    costs = []
-    for road in network.roads:
-        low, high = _KIND_COSTS[road.kind]
-        costs.append(int(rng.integers(low, high + 1)))
     return CostModel(network, costs)

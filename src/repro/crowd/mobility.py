@@ -98,25 +98,3 @@ class MobilityModel:
         for stepped in self.walk(pool, n_steps):
             series.append((len(stepped.roads_with_workers()), stepped.n_workers))
         return series
-
-
-def stationary_coverage_estimate(
-    network: TrafficNetwork,
-    n_workers: int,
-    n_steps: int = 50,
-    move_probability: float = 0.3,
-    seed: Optional[int] = None,
-) -> float:
-    """Fraction of roads covered by workers in the walk's long run.
-
-    Runs a random-walk burn-in and reports the average coverage over the
-    last half of the steps — a planning helper for "how many workers
-    does this city need so that R^w stays useful?".
-    """
-    if n_workers <= 0:
-        raise CrowdError("n_workers must be positive")
-    pool = WorkerPool.random_distribution(network, n_workers, seed=seed)
-    model = MobilityModel(network, move_probability, seed=seed)
-    series = model.coverage_series(pool, n_steps)
-    tail = series[len(series) // 2 :]
-    return float(np.mean([covered / network.n_roads for covered, _ in tail]))

@@ -8,13 +8,18 @@ paper fixes implicitly:
   layer-parallel variant) against three sweep orders that exist only
   here (colour groups, random, index order);
 * crowd answer aggregation (mean vs median vs trimmed mean);
-* RTF inference initialization (empirical vs random).
+* RTF inference initialization (empirical vs random);
+* OCS slack: a swap/add :func:`local_search` that refines
+  Hybrid-Greedy's selection, so the objective gap it closes measures
+  how far the greedy sits from a local optimum
+  (``benchmarks/test_ablation_localsearch.py``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -26,11 +31,13 @@ from repro.core.correlation import (
 )
 from repro.core.gsp import GSPConfig, GSPSchedule, _build_update_structure, propagate
 from repro.core.inference import RTFInferenceConfig, infer_slot_parameters
+from repro.core.ocs import OCSInstance, OCSResult
 from repro.core.request import EstimationRequest
 from repro.core.rtf import RTFSlot
 from repro.crowd.aggregation import Aggregator
 from repro.crowd.market import CrowdMarket
 from repro.datasets import truth_oracle_for
+from repro.errors import SelectionError
 from repro.eval.metrics import mean_absolute_percentage_error
 from repro.experiments.common import (
     ExperimentScale,
@@ -303,6 +310,158 @@ def inference_init_ablation(
             )
         )
     return rows
+
+
+class _CoverState:
+    """Cached coverage of the current selection for O(|R^q|) trial moves.
+
+    For every queried road, tracks the best and second-best correlation
+    over the selected roads (and which selected road provides the best),
+    so an *add* trial is ``max(best, corr[·, road])`` and a *swap* trial
+    replaces the outgoing road's contribution with the runner-up before
+    taking the max.  Feasibility checks reduce to one vectorized
+    redundancy row test plus an O(1) cost comparison because the current
+    selection is feasible by invariant.
+    """
+
+    def __init__(self, instance: OCSInstance) -> None:
+        self.instance = instance
+        self.q = np.asarray(instance.queried, dtype=int)
+        self.sigma_q = instance.sigma[self.q]
+        self.cost_of: Dict[int, float] = {
+            int(road): float(c) for road, c in zip(instance.candidates, instance.costs)
+        }
+        self.sel: List[int] = []
+        self.total_cost = 0.0
+        self.best = np.full(len(self.q), -np.inf)
+        self.best_road = np.full(len(self.q), -1, dtype=int)
+        self.second = np.full(len(self.q), -np.inf)
+
+    def rebuild(self, selected: Set[int]) -> None:
+        """Recompute the coverage caches for a new current selection."""
+        self.sel = sorted(int(r) for r in selected)
+        self.total_cost = sum(self.cost_of[r] for r in self.sel)
+        n_q = len(self.q)
+        if not self.sel:
+            self.best = np.full(n_q, -np.inf)
+            self.best_road = np.full(n_q, -1, dtype=int)
+            self.second = np.full(n_q, -np.inf)
+            return
+        sel_arr = np.asarray(self.sel, dtype=int)
+        cover = self.instance.corr[np.ix_(self.q, sel_arr)]
+        arg = cover.argmax(axis=1)
+        self.best = cover[np.arange(n_q), arg]
+        self.best_road = sel_arr[arg]
+        if len(self.sel) > 1:
+            runner = cover.copy()
+            runner[np.arange(n_q), arg] = -np.inf
+            self.second = runner.max(axis=1)
+        else:
+            self.second = np.full(n_q, -np.inf)
+
+    def add_objective(self, road: int) -> float:
+        """Eq. 13 of ``sel ∪ {road}`` without rescanning the selection."""
+        values = np.maximum(self.best, self.instance.corr[self.q, road])
+        return float(np.dot(self.sigma_q, values))
+
+    def swap_objective(self, out: int, road: int) -> float:
+        """Eq. 13 of ``(sel − {out}) ∪ {road}``."""
+        excl = np.where(self.best_road == out, self.second, self.best)
+        values = np.maximum(excl, self.instance.corr[self.q, road])
+        return float(np.dot(self.sigma_q, values))
+
+    def feasible_add(self, road: int) -> bool:
+        if road not in self.cost_of or road in self.sel:
+            return False
+        if self.total_cost + self.cost_of[road] > self.instance.budget + 1e-9:
+            return False
+        return self._redundancy_ok(road, exclude=None)
+
+    def feasible_swap(self, out: int, road: int) -> bool:
+        if road not in self.cost_of or road in self.sel:
+            return False
+        cost = self.total_cost - self.cost_of[out] + self.cost_of[road]
+        if cost > self.instance.budget + 1e-9:
+            return False
+        return self._redundancy_ok(road, exclude=out)
+
+    def _redundancy_ok(self, road: int, exclude: Optional[int]) -> bool:
+        others = [r for r in self.sel if r != exclude]
+        if not others:
+            return True
+        return not self.instance.redundant(road, others).any()
+
+
+def local_search(
+    instance: OCSInstance,
+    initial: Sequence[int] = (),
+    max_rounds: int = 200,
+) -> OCSResult:
+    """Best-improvement local search over add / swap moves.
+
+    Every accepted move strictly improves Eq. 13, so started from
+    Hybrid-Greedy's selection the relative objective gain is an
+    empirical measure of the greedy's slack against its (1 − 1/e)/2
+    guarantee.  Each trial move is scored from a cached per-queried-road
+    coverage state in ``O(|R^q|)`` instead of re-scoring the whole
+    selection.  Pure drops are never tried: Eq. 13 is monotone.
+
+    Args:
+        instance: The OCS problem.
+        initial: Feasible starting selection (e.g. Hybrid-Greedy's
+            output); empty to start from scratch.
+        max_rounds: Cap on improving rounds.
+
+    Returns:
+        An :class:`OCSResult` at a local optimum (no single add or swap
+        improves the objective).
+
+    Raises:
+        SelectionError: When the starting selection is infeasible.
+    """
+    if not instance.is_feasible(list(initial)):
+        raise SelectionError("local search needs a feasible starting selection")
+    start = time.perf_counter()
+    selected: Set[int] = {int(r) for r in initial}
+    candidates = list(instance.candidates)
+    best_objective = instance.objective(sorted(selected))
+    cover = _CoverState(instance)
+    cover.rebuild(selected)
+    rounds = 0
+    for _ in range(max_rounds):
+        rounds += 1
+        best_move: Optional[Tuple[Optional[int], int]] = None
+        best_gain = 1e-9
+        for road in candidates:
+            if road in selected or not cover.feasible_add(road):
+                continue
+            gain = cover.add_objective(road) - best_objective
+            if gain > best_gain:
+                best_gain, best_move = gain, (None, road)
+        for out in list(selected):
+            for road in candidates:
+                if road in selected or not cover.feasible_swap(out, road):
+                    continue
+                gain = cover.swap_objective(out, road) - best_objective
+                if gain > best_gain:
+                    best_gain, best_move = gain, (out, road)
+        if best_move is None:
+            break
+        out, into = best_move
+        if out is not None:
+            selected.discard(out)
+        selected.add(into)
+        cover.rebuild(selected)
+        best_objective += best_gain
+    final = sorted(selected)
+    return OCSResult(
+        selected=tuple(final),
+        objective=instance.objective(final),
+        cost=instance.selection_cost(final),
+        iterations=rounds,
+        runtime_seconds=time.perf_counter() - start,
+        algorithm="local-search",
+    )
 
 
 def run_all(scale: ExperimentScale = ExperimentScale.QUICK) -> List[AblationRow]:

@@ -23,14 +23,12 @@ from repro.network.io import (
 )
 from repro.network.routing import (
     RouteWeight,
-    k_hop_neighborhood,
     shortest_route,
     travel_time_minutes,
 )
 
 __all__ = [
     "RouteWeight",
-    "k_hop_neighborhood",
     "shortest_route",
     "travel_time_minutes",
     "Road",

@@ -152,15 +152,3 @@ def travel_time_minutes(
         network.road_at(int(r)).length_km / speeds[int(r)] for r in roads
     )
     return 60.0 * hours
-
-
-def k_hop_neighborhood(
-    network: TrafficNetwork, centre: int, k: int
-) -> List[int]:
-    """All roads within ``k`` hops of ``centre`` (including it), sorted."""
-    if k < 0:
-        raise NetworkError("k must be >= 0")
-    distances = network.hop_distances([centre])
-    return sorted(
-        i for i, d in enumerate(distances) if d is not None and d <= k
-    )

@@ -14,8 +14,7 @@ properties a serving tier needs:
   grow without bound.
 * **Per-request deadlines** — each request carries a wall-clock budget
   enforced across the whole OCS → probe → GSP span (including queue
-  wait).  Expiry either degrades the answer (default) or raises a typed
-  :class:`~repro.errors.QueryTimeoutError`.
+  wait).  Expiry degrades the answer (see below).
 * **Coalescing** — a worker drains every queued request for the same
   slot into one batch served off **one pinned snapshot**: identical
   requests share a single pipeline execution.  Every batch takes the
@@ -23,7 +22,7 @@ properties a serving tier needs:
   then the system's estimate stage answers them all together — one
   :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call, in which
   each item still does its own structure lookup.
-* **Graceful degradation** — when the deadline is (nearly) spent or the
+* **Graceful degradation** — when the deadline is spent or the
   crowd cannot be probed (budget exhausted, no workers), the request
   falls back to the Per baseline
   (:func:`~repro.baselines.periodic.periodic_field` over the pinned
@@ -43,7 +42,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ContextManager, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -122,27 +121,11 @@ class ServeConfig:
             0 still coalesces whatever is *already* queued.
         max_coalesce: Largest batch one worker serves at once.
         default_deadline_s: Deadline applied to requests that do not
-            carry their own (``None`` → no deadline).
-        degrade_on_timeout: When True (default), a deadline expiry
-            returns a Per-baseline answer flagged ``degraded=True``;
-            when False the request fails with
-            :class:`~repro.errors.QueryTimeoutError`.
-        degrade_margin_s: Skip the full pipeline and degrade immediately
-            when less than this much budget remains at pickup — the
-            pipeline would not finish in time anyway.
-        serialize_probes: Hold a service-wide lock while a request is
-            selected and probed, so a market shared between requests
-            (one RNG, one worker pool) is never driven from two threads
-            at once.  The lock covers each distinct request's OCS +
-            probing and nothing else: the batch's estimate stage (GSP
-            or a backend) always runs outside it.
+            carry their own (``None`` → no deadline).  An expired
+            deadline returns a Per-baseline answer flagged
+            ``degraded=True``; the service never raises
+            :class:`~repro.errors.QueryTimeoutError` to the caller.
         gsp_config: Propagation knobs applied to every served query.
-        shed_on_failing: Pre-emptive load shedding: when an installed
-            :class:`repro.obs.health.HealthMonitor` reports the process
-            FAILING (both SLO burn windows violated) and the queue is
-            at least half full, :meth:`QueryService.submit` rejects
-            with :class:`~repro.errors.OverloadedError` *before* hard
-            overload — counted under ``serve.shed``.
         shadow_backend: Challenger estimator backend scored in shadow
             mode: after a request completes on the default ``rtf_gsp``
             path, the worker re-estimates the *same probes* off the
@@ -150,6 +133,17 @@ class ServeConfig:
             ``serve.shadow.*`` error/latency metrics — the caller's
             answer and latency are untouched (tickets resolve first).
             The backend must be attached to the system's store.
+
+    Two behaviours are fixed rather than configured.  A service-wide
+    lock is held while each distinct request is selected and probed, so
+    a market shared between requests (one RNG, one worker pool) is never
+    driven from two threads at once; the batch's estimate stage (GSP or
+    a backend) always runs outside it.  And when an installed
+    :class:`repro.obs.health.HealthMonitor` reports the process FAILING
+    (both SLO burn windows violated) and the queue is at least half
+    full, :meth:`QueryService.submit` sheds with
+    :class:`~repro.errors.OverloadedError` *before* hard overload —
+    counted under ``serve.shed``.
     """
 
     num_workers: int = 2
@@ -157,11 +151,7 @@ class ServeConfig:
     coalesce_window_s: float = 0.0
     max_coalesce: int = 16
     default_deadline_s: Optional[float] = None
-    degrade_on_timeout: bool = True
-    degrade_margin_s: float = 0.0
-    serialize_probes: bool = True
     gsp_config: Optional[GSPConfig] = None
-    shed_on_failing: bool = True
     shadow_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -171,8 +161,8 @@ class ServeConfig:
             raise ServeError("ServeConfig.max_queue_depth must be >= 1")
         if self.max_coalesce < 1:
             raise ServeError("ServeConfig.max_coalesce must be >= 1")
-        if self.coalesce_window_s < 0 or self.degrade_margin_s < 0:
-            raise ServeError("serve windows/margins must be >= 0")
+        if self.coalesce_window_s < 0:
+            raise ServeError("ServeConfig.coalesce_window_s must be >= 0")
         if self.default_deadline_s is not None and not self.default_deadline_s > 0:
             # ``not x > 0`` rejects NaN too.
             raise ServeError(
@@ -388,9 +378,8 @@ class QueryService:
 
         Raises:
             OverloadedError: When the admission queue is at capacity,
-                or (with ``ServeConfig.shed_on_failing``) when the
-                health monitor reports FAILING and the queue is at
-                least half full.
+                or when an installed health monitor reports FAILING and
+                the queue is at least half full.
             ServeError: When the service is closed.
         """
         metrics = get_metrics()
@@ -403,7 +392,7 @@ class QueryService:
         ticket = ServeTicket(request, deadline)
         # The monitor's status() is a lock-free read; consult it before
         # taking the admission lock so shedding never nests locks.
-        shedding = self._config.shed_on_failing and self._should_shed()
+        shedding = self._should_shed()
         with self._lock:
             if self._closing:
                 raise ServeError("QueryService is closed")
@@ -583,17 +572,15 @@ class QueryService:
                 shared_by=len(tickets),
             ):
                 if self._should_degrade_now(leader):
-                    self._finish_timeout(
-                        tickets, snapshot, self._queue_timeout(leader)
-                    )
+                    self._finish_degraded(tickets, snapshot, DEGRADED_DEADLINE)
                     continue
                 try:
-                    with self._maybe_probe_lock():
+                    with self._probe_lock:
                         # The transitive wait is the artifact cache's
                         # single-flight Event: bounded by one derivation
                         # on a thread that never takes the probe lock,
-                        # and serialize_probes opts into exactly this
-                        # hold.
+                        # and serializing a shared market's probes needs
+                        # exactly this hold.
                         query = self._system._select_and_probe(  # repro: noqa[RA012]
                             request.bound(
                                 self._market_of(request), self._truth_of(request)
@@ -617,11 +604,6 @@ class QueryService:
 
     # -- helpers --------------------------------------------------------
 
-    def _maybe_probe_lock(self) -> ContextManager[object]:
-        if self._config.serialize_probes:
-            return self._probe_lock
-        return _NULL_CONTEXT
-
     def _market_of(self, request: EstimationRequest) -> CrowdMarket:
         market = request.market if request.market is not None else self._market
         if market is None:
@@ -641,18 +623,7 @@ class QueryService:
     def _should_degrade_now(self, ticket: ServeTicket) -> bool:
         if ticket.deadline is None:
             return False
-        return ticket.deadline.remaining() <= self._config.degrade_margin_s
-
-    @staticmethod
-    def _queue_timeout(ticket: ServeTicket) -> QueryTimeoutError:
-        """A timeout detected at pickup (spent waiting in the queue)."""
-        deadline = ticket.deadline
-        assert deadline is not None
-        return QueryTimeoutError(
-            "queue",
-            deadline.budget_seconds - deadline.remaining(),
-            deadline.budget_seconds,
-        )
+        return ticket.deadline.remaining() <= 0
 
     def _finish_ok(
         self,
@@ -687,20 +658,12 @@ class QueryService:
         if self._config.shadow_backend is not None:
             self._score_shadow(tickets[0].request, result, snapshot)
 
-    def _finish_timeout(
-        self, tickets: List[ServeTicket], snapshot: ModelSnapshot, exc: QueryTimeoutError
-    ) -> None:
-        if self._config.degrade_on_timeout:
-            self._finish_degraded(tickets, snapshot, DEGRADED_DEADLINE)
-        else:
-            self._fail_all(tickets, exc)
-
     def _finish_error(
         self, tickets: List[ServeTicket], snapshot: ModelSnapshot, exc: Exception
     ) -> None:
         """Resolve a failed bucket: degrade, or fail with a typed error."""
         if isinstance(exc, QueryTimeoutError):
-            self._finish_timeout(tickets, snapshot, exc)
+            self._finish_degraded(tickets, snapshot, DEGRADED_DEADLINE)
         elif isinstance(exc, (BudgetError, NoWorkersError)):
             self._finish_degraded(tickets, snapshot, DEGRADED_BUDGET)
         elif isinstance(exc, ReproError):
@@ -817,16 +780,3 @@ class QueryService:
             # N samples/spans/events around this moment (no-op unless a
             # HealthMonitor is installed; called outside any lock).
             obs_health.record_failure("serve", exc)
-
-
-class _NullContext:
-    """``with``-able stand-in when probe serialization is off."""
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()

@@ -12,12 +12,13 @@ from pinned snapshots.
 Two properties keep the loop safe under load:
 
 * **Bounded batching** — each publish covers at most
-  ``max_slots_per_publish`` closed slots, so one store version never
-  absorbs an unbounded backlog and readers see fresh versions steadily.
+  ``_MAX_SLOTS_PER_PUBLISH`` (8) closed slots, so one store version
+  never absorbs an unbounded backlog and readers see fresh versions
+  steadily.
 * **Backpressure** — closed slots wait in a queue of at most
-  ``max_pending`` refresh jobs.  When the publisher falls behind, the
-  *feed thread blocks inside* :meth:`StreamRefresher.ingest` until a
-  slot frees up: the feed is throttled instead of the queue growing
+  ``_MAX_PENDING`` (4) refresh jobs.  When the publisher falls behind,
+  the *feed thread blocks inside* :meth:`StreamRefresher.ingest` until
+  a slot frees up: the feed is throttled instead of the queue growing
   without bound (mirroring the admission-queue contract of the serving
   layer).
 
@@ -46,6 +47,13 @@ from repro.obs import health as obs_health
 from repro.stream.log import IngestResult, ObservationLog, SlotKey
 from repro.stream.messages import ProbeMessage, slot_end_ts
 
+#: Bound on queued refresh jobs; a full queue blocks the feed thread
+#: (backpressure).
+_MAX_PENDING = 4
+#: Bound on distinct slots folded into one store publish (bounded
+#: batching).
+_MAX_SLOTS_PER_PUBLISH = 8
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -55,13 +63,6 @@ class StreamConfig:
         lateness_s: Event-time grace period after a slot's end before it
             closes (see :class:`~repro.stream.log.ObservationLog`).
         learning_rate: Forgetting factor η handed to the online updater.
-        max_pending: Bound on queued refresh jobs; a full queue blocks
-            the feed thread (backpressure).
-        max_slots_per_publish: Bound on distinct slots folded into one
-            store publish (bounded batching).
-        min_observed: Slots closing with fewer observed roads are
-            dropped (``stream.dropped{reason="low_coverage"}``) instead
-            of nudging the model from near-zero evidence.
         async_publish: Publish from a background thread (the production
             shape).  ``False`` publishes inline inside :meth:`ingest`,
             which is deterministic and simpler for tests/experiments.
@@ -69,9 +70,6 @@ class StreamConfig:
 
     lateness_s: float = 60.0
     learning_rate: float = 0.1
-    max_pending: int = 4
-    max_slots_per_publish: int = 8
-    min_observed: int = 1
     async_publish: bool = True
 
     def __post_init__(self) -> None:
@@ -79,15 +77,6 @@ class StreamConfig:
             raise StreamError(
                 f"learning_rate must be in (0, 1), got {self.learning_rate}"
             )
-        if self.max_pending < 1:
-            raise StreamError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.max_slots_per_publish < 1:
-            raise StreamError(
-                f"max_slots_per_publish must be >= 1, "
-                f"got {self.max_slots_per_publish}"
-            )
-        if self.min_observed < 1:
-            raise StreamError(f"min_observed must be >= 1, got {self.min_observed}")
 
 
 @dataclass
@@ -97,7 +86,6 @@ class StreamStats:
     publishes: int = 0
     published_slots: int = 0
     skipped_unfitted: int = 0
-    skipped_low_coverage: int = 0
     backpressure_waits: int = 0
     max_pending_seen: int = 0
     last_publish_lag_s: float = 0.0
@@ -110,7 +98,6 @@ class StreamStats:
             "publishes": self.publishes,
             "published_slots": self.published_slots,
             "skipped_unfitted": self.skipped_unfitted,
-            "skipped_low_coverage": self.skipped_low_coverage,
             "backpressure_waits": self.backpressure_waits,
             "max_pending_seen": self.max_pending_seen,
             "last_publish_lag_s": self.last_publish_lag_s,
@@ -302,7 +289,7 @@ class StreamRefresher:
         metrics = get_metrics()
         with self._not_full:
             while (
-                len(self._queue) >= self._config.max_pending
+                len(self._queue) >= _MAX_PENDING
                 and self._error is None
             ):
                 self._stats.backpressure_waits += 1
@@ -333,7 +320,7 @@ class StreamRefresher:
                 slots_taken: Set[int] = set()
                 while (
                     self._queue
-                    and len(jobs) < self._config.max_slots_per_publish
+                    and len(jobs) < _MAX_SLOTS_PER_PUBLISH
                 ):
                     slot = self._queue[0].key[1]
                     if slot in slots_taken:
@@ -357,18 +344,10 @@ class StreamRefresher:
         day_samples: Dict[int, np.ndarray] = {}
         published_keys: List[SlotKey] = []
         unfitted: List[int] = []
-        skipped_low = 0
         for job in jobs:
             slot = job.key[1]
             if slot not in snapshot:
                 unfitted.append(slot)
-                continue
-            if len(job.sample) < self._config.min_observed:
-                skipped_low += 1
-                if metrics.enabled:
-                    metrics.counter(
-                        "stream.dropped", {"reason": "low_coverage"}
-                    ).inc()
                 continue
             # Sparse coverage: unobserved roads keep the current slot
             # mean, so the updater sees a full positive vector and only
@@ -404,7 +383,6 @@ class StreamRefresher:
             lag = max(lag, watermark - slot_end_ts(day, slot))
         with self._lock:
             self._stats.skipped_unfitted += len(unfitted)
-            self._stats.skipped_low_coverage += skipped_low
             if day_samples:
                 self._stats.publishes += 1
                 self._stats.published_slots += len(day_samples)

@@ -34,7 +34,6 @@ from repro.traffic.trajectories import (
     TrajectoryGenerator,
     TrajectoryPoint,
     extract_road_speeds,
-    fleet_road_speeds,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "TrajectoryGenerator",
     "TrajectoryPoint",
     "extract_road_speeds",
-    "fleet_road_speeds",
     "N_SLOTS_PER_DAY",
     "SLOT_MINUTES",
     "DailyProfile",

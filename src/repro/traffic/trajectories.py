@@ -298,24 +298,3 @@ def extract_road_speeds(
         for road, (elapsed, distance) in totals.items()
         if elapsed > 0
     }
-
-
-def fleet_road_speeds(
-    network: TrafficNetwork,
-    trajectories: Sequence[Trajectory],
-    min_dwell_s: float = 5.0,
-) -> Dict[int, List[float]]:
-    """All per-road observations from a fleet of traces.
-
-    Returns:
-        Mapping road index → list of speed observations (one per trace
-        that crossed the road usably); feed these to
-        :func:`repro.crowd.aggregation.aggregate_answers`.
-    """
-    observations: Dict[int, List[float]] = {}
-    for trajectory in trajectories:
-        for road, speed in extract_road_speeds(
-            network, trajectory, min_dwell_s
-        ).items():
-            observations.setdefault(road, []).append(speed)
-    return observations

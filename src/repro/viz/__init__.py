@@ -3,13 +3,9 @@
 from repro.viz.ascii import (
     congestion_strip,
     convergence_sparkline,
-    render_speed_table,
-    speed_histogram,
 )
 
 __all__ = [
     "congestion_strip",
     "convergence_sparkline",
-    "render_speed_table",
-    "speed_histogram",
 ]

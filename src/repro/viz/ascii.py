@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.network.graph import TrafficNetwork
 
 #: Shade ramp from free-flow (light) to jammed (dark).
 _SHADES = " ░▒▓█"
@@ -79,72 +78,3 @@ def convergence_sparkline(history: Sequence[float]) -> str:
     scaled = (logs - lo) / (hi - lo)
     cells = (scaled * (len(_BARS) - 1)).round().astype(int)
     return "".join(_BARS[c] for c in cells)
-
-
-def speed_histogram(
-    speeds_kmh: Sequence[float],
-    n_bins: int = 8,
-    bar_width: int = 30,
-) -> str:
-    """Horizontal histogram of a speed field.
-
-    Args:
-        speeds_kmh: Speeds to bin.
-        n_bins: Number of equal-width bins.
-        bar_width: Characters of the longest bar.
-    """
-    speeds = _to_array(speeds_kmh, "speeds_kmh")
-    if n_bins <= 0 or bar_width <= 0:
-        raise ExperimentError("n_bins and bar_width must be positive")
-    counts, edges = np.histogram(speeds, bins=n_bins)
-    top = max(int(counts.max()), 1)
-    lines = []
-    for k in range(n_bins):
-        bar = "█" * int(round(bar_width * counts[k] / top))
-        lines.append(
-            f"{edges[k]:6.1f}-{edges[k + 1]:6.1f} km/h |{bar:<{bar_width}}| {counts[k]}"
-        )
-    return "\n".join(lines)
-
-
-def render_speed_table(
-    network: TrafficNetwork,
-    speeds_kmh: Sequence[float],
-    reference_kmh: Optional[Sequence[float]] = None,
-    limit: int = 20,
-    slowest_first: bool = True,
-) -> str:
-    """Tabular view of the most congested roads.
-
-    Args:
-        network: Road graph (for ids and free-flow speeds).
-        speeds_kmh: Current estimated speed per road.
-        reference_kmh: Optional reference column (e.g. periodic means).
-        limit: Rows to show.
-        slowest_first: Order by congestion (default) or by road index.
-    """
-    speeds = _to_array(speeds_kmh, "speeds_kmh")
-    if speeds.shape != (network.n_roads,):
-        raise ExperimentError(
-            f"speeds must have shape ({network.n_roads},), got {speeds.shape}"
-        )
-    reference = (
-        _to_array(reference_kmh, "reference_kmh") if reference_kmh is not None else None
-    )
-    free = np.array([road.free_flow_kmh for road in network.roads])
-    congestion = np.clip(1.0 - speeds / free, 0.0, 1.0)
-    order = np.argsort(-congestion) if slowest_first else np.arange(network.n_roads)
-    header = "road        speed  free   congestion"
-    if reference is not None:
-        header += "  reference"
-    lines = [header]
-    for i in order[: max(1, limit)]:
-        bar = _SHADES[int(round(congestion[i] * (len(_SHADES) - 1)))]
-        line = (
-            f"{network.roads[int(i)].road_id:<10} {speeds[int(i)]:6.1f} "
-            f"{free[int(i)]:6.1f}   {congestion[int(i)]:.0%} {bar}"
-        )
-        if reference is not None:
-            line += f"    {reference[int(i)]:6.1f}"
-        lines.append(line)
-    return "\n".join(lines)

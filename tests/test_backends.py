@@ -405,7 +405,7 @@ class TestStreamRefreshIntegration:
         batches = streaming.synthesize_day_feed(
             data.test_history, 0, slots=[data.slot], coverage=1.0, seed=5
         )
-        config = streaming.StreamConfig(async_publish=False, min_observed=1)
+        config = streaming.StreamConfig(async_publish=False)
         with streaming.StreamRefresher(system, config) as refresher:
             for batch in batches:
                 refresher.ingest(batch)

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.errors import ConvergenceError, ModelError
-from repro.core.gsp import GSPConfig, GSPKernel, GSPSchedule, propagate
+from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule, propagate
 from repro.core.rtf import RTFSlot
 
 
@@ -37,6 +37,39 @@ class TestConfig:
         assert config.kernel is GSPKernel.VECTORIZED
         assert list(GSPSchedule) == [GSPSchedule.BFS, GSPSchedule.BFS_PARALLEL]
         assert list(GSPKernel) == [GSPKernel.REFERENCE, GSPKernel.VECTORIZED]
+
+    @pytest.mark.parametrize(
+        "kwargs,expected",
+        [
+            ({"schedule": "bfs"}, ("schedule", GSPSchedule.BFS)),
+            ({"schedule": "bfs-parallel"}, ("schedule", GSPSchedule.BFS_PARALLEL)),
+            ({"kernel": "reference"}, ("kernel", GSPKernel.REFERENCE)),
+            ({"kernel": "vectorized"}, ("kernel", GSPKernel.VECTORIZED)),
+        ],
+    )
+    def test_string_values_coerce_to_members(self, line_net, kwargs, expected):
+        config = GSPConfig(**kwargs)
+        name, member = expected
+        assert getattr(config, name) is member
+        assert config == GSPConfig(**{name: member})
+        result = GSPEngine(line_net).propagate(flat_slot(line_net), {0: 30.0}, config)
+        assert result.converged
+        assert getattr(result, name) is member
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"schedule": "random"},
+            {"schedule": "bfs-colored"},
+            {"kernel": "auto"},
+            {"kernel": None},
+            {"schedule": 3},
+        ],
+    )
+    def test_unknown_schedule_or_kernel_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ModelError, match=name):
+            GSPConfig(**kwargs)
 
 
 class TestPropagation:

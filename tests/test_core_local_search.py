@@ -1,12 +1,12 @@
-"""Unit tests for OCS local search."""
+"""Unit tests for the OCS local search of the ablation studies."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import SelectionError
-from repro.core.local_search import greedy_plus_local_search, local_search
 from repro.core.ocs import OCSInstance, brute_force_ocs, hybrid_greedy
+from repro.experiments.ablations import local_search
 
 
 def make_instance(n=10, queried=(0, 1, 2), budget=4, theta=0.95, seed=0, costs=None):
@@ -77,7 +77,9 @@ class TestGreedyPlusLocalSearch:
         for seed in range(8):
             costs = np.random.default_rng(seed).integers(1, 4, 12).astype(float)
             inst = make_instance(n=12, budget=6, seed=seed, costs=costs)
-            refined, gap = greedy_plus_local_search(inst)
+            greedy = hybrid_greedy(inst)
+            refined = local_search(inst, greedy.selected)
+            gap = (refined.objective - greedy.objective) / greedy.objective
             assert gap >= 0.0
             assert inst.is_feasible(refined.selected)
             gaps.append(gap)

@@ -1,13 +1,18 @@
 """Unit tests for repro.core.online_update."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import ModelError
 from repro.core.inference import empirical_slot_parameters
-from repro.core.online_update import OnlineRTFUpdater, refresh_model
+from repro.core.online_update import OnlineRTFUpdater
+from repro.core.pipeline import CrowdRTSE
 from repro.core.rtf import RTFModel, RTFSlot
+from repro.core.store import ModelStore
+from repro.stream import ProbeMessage, StreamConfig, StreamRefresher, slot_start_ts
 
 
 def flat_slot(net, mu=50.0, sigma=3.0, rho=0.5, slot=0):
@@ -89,26 +94,6 @@ class TestUpdates:
         a.mu[0] = -999  # mutate the copy
         assert updater.current().mu[0] == 50.0
 
-
-class TestRefreshModel:
-    def test_refreshes_only_given_slots(self, line_net):
-        model = RTFModel(line_net, [flat_slot(line_net, slot=1), flat_slot(line_net, slot=2)])
-        refreshed = refresh_model(
-            line_net, model, {1: np.full(6, 70.0)}, learning_rate=0.5
-        )
-        assert refreshed.slot(1).mu[0] == pytest.approx(60.0)
-        assert refreshed.slot(2).mu[0] == pytest.approx(50.0)
-
-    def test_consistent_with_updater(self, line_net):
-        initial = flat_slot(line_net, slot=3)
-        model = RTFModel(line_net, [initial])
-        sample = np.full(6, 55.0)
-        refreshed = refresh_model(line_net, model, {3: sample}, 0.05)
-        updater = OnlineRTFUpdater(line_net, initial, 0.05)
-        direct = updater.update(sample)
-        assert np.allclose(refreshed.slot(3).mu, direct.mu)
-        assert np.allclose(refreshed.slot(3).sigma, direct.sigma)
-
     def test_online_matches_empirical_in_expectation(self, small_world):
         """Streaming the history through the updater lands near the
         batch empirical fit (both estimate the same moments)."""
@@ -127,45 +112,56 @@ class TestRefreshModel:
 
 class TestUnfittedSlotAccounting:
     """Regression: observations for slots the model never fitted used to
-    vanish silently; they must now be counted and warned about once."""
+    vanish silently; the stream refresher must count them and warn once."""
+
+    @staticmethod
+    def _readings(net, day, slot):
+        return [
+            ProbeMessage(
+                road=road, day=day, slot=slot, speed_kmh=70.0,
+                ts=slot_start_ts(day, slot) + 1.0, msg_id=f"{day}.{slot}.{road}",
+            )
+            for road in range(net.n_roads)
+        ]
 
     def test_unfitted_slot_warns_once_and_counts(self, line_net):
         from repro import errors, obs
 
+        def dropped():
+            return (
+                obs.get_metrics()
+                .counter("stream.dropped", {"reason": "unfitted_slot"})
+                .value
+            )
+
         errors.reset_deprecation_warnings()
         obs.configure(metrics=True)
+        system = CrowdRTSE(
+            line_net,
+            store=ModelStore(RTFModel(line_net, [flat_slot(line_net, slot=1)])),
+        )
+        config = StreamConfig(
+            lateness_s=0.0, learning_rate=0.5, async_publish=False
+        )
         try:
             obs.get_metrics().clear()
-            model = RTFModel(line_net, [flat_slot(line_net, slot=1)])
-            with pytest.warns(RuntimeWarning, match="fitted slot range"):
-                refreshed = refresh_model(
-                    line_net,
-                    model,
-                    {1: np.full(6, 70.0), 9: np.full(6, 70.0)},
-                    learning_rate=0.5,
-                )
-            # The fitted slot still refreshed normally.
-            assert refreshed.slot(1).mu[0] == pytest.approx(60.0)
-            assert (
-                obs.get_metrics()
-                .counter("stream.dropped", {"reason": "unfitted_slot"})
-                .value
-                == 1
-            )
-            # Once per process: a second occurrence stays silent.
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                refresh_model(
-                    line_net, model, {9: np.full(6, 70.0)}, learning_rate=0.5
-                )
-            assert (
-                obs.get_metrics()
-                .counter("stream.dropped", {"reason": "unfitted_slot"})
-                .value
-                == 2
-            )
+            with StreamRefresher(system, config) as refresher:
+                with pytest.warns(RuntimeWarning, match="fitted slot range"):
+                    refresher.ingest(
+                        self._readings(line_net, 0, 1)
+                        + self._readings(line_net, 0, 9)
+                    )
+                    refresher.drain()
+                # The fitted slot still refreshed normally.
+                assert system.store.current().slot(1).mu[0] == pytest.approx(60.0)
+                assert refresher.stats.skipped_unfitted == 1
+                assert dropped() == 1
+                # Once per process: a second occurrence stays silent.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    refresher.ingest(self._readings(line_net, 1, 9))
+                    refresher.drain()
+                assert dropped() == 2
         finally:
             obs.disable_all()
             obs.get_metrics().clear()

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-import repro
 from repro.errors import BudgetError
-from repro.crowd.cost import CostModel, kind_based_costs, uniform_random_costs
-from repro.network.graph import RoadKind
+from repro.crowd.cost import CostModel, uniform_random_costs
 
 
 class TestCostModel:
@@ -83,24 +81,3 @@ class TestUniformRandomCosts:
             uniform_random_costs(grid_net, 5, 2)
         with pytest.raises(BudgetError):
             uniform_random_costs(grid_net, 0, 3)
-
-
-class TestKindBasedCosts:
-    def test_highways_cheaper_on_average(self):
-        net = repro.ring_radial_network(300, seed=4)
-        model = kind_based_costs(net, seed=5)
-        highway_costs = [
-            model.cost_of(i)
-            for i, road in enumerate(net.roads)
-            if road.kind is RoadKind.HIGHWAY
-        ]
-        local_costs = [
-            model.cost_of(i)
-            for i, road in enumerate(net.roads)
-            if road.kind is RoadKind.LOCAL
-        ]
-        assert np.mean(highway_costs) < np.mean(local_costs)
-
-    def test_all_positive(self, grid_net):
-        model = kind_based_costs(grid_net, seed=6)
-        assert np.all(model.costs > 0)

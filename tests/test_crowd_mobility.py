@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.errors import CrowdError
-from repro.crowd.mobility import MobilityModel, stationary_coverage_estimate
+from repro.crowd.mobility import MobilityModel
 from repro.crowd.workers import WorkerPool
 
 
@@ -77,18 +77,3 @@ class TestMobilityModel:
         for covered, total in series:
             assert 1 <= covered <= grid_net.n_roads
             assert total == 12
-
-
-class TestStationaryCoverage:
-    def test_in_unit_interval(self, grid_net):
-        coverage = stationary_coverage_estimate(grid_net, n_workers=20, seed=16)
-        assert 0.0 < coverage <= 1.0
-
-    def test_more_workers_more_coverage(self, grid_net):
-        few = stationary_coverage_estimate(grid_net, n_workers=5, seed=17)
-        many = stationary_coverage_estimate(grid_net, n_workers=100, seed=17)
-        assert many > few
-
-    def test_invalid_workers(self, grid_net):
-        with pytest.raises(CrowdError):
-            stationary_coverage_estimate(grid_net, n_workers=0)

@@ -21,7 +21,7 @@ class TestScalability:
             assert p.gamma_build_s >= 0
             assert p.ocs_s >= 0
             assert p.gsp_s >= 0
-            assert p.gsp_vectorized_s >= 0
+            assert p.gsp_warm_parallel_s >= 0
             assert p.exact_solve_s >= 0
             assert p.gsp_sweeps >= 1
 
@@ -34,5 +34,6 @@ class TestScalability:
     def test_format(self, points):
         text = scalability.format_table(points)
         assert "GSP sweeps" in text
-        assert "GSP (vec)" in text
+        assert "GSP 1st" in text
+        assert "GSP warm" in text
         assert "|R|" in text

@@ -513,25 +513,3 @@ class TestShedOnFailing:
             service.close(drain=False)
         finally:
             obs_health.uninstall()
-
-    def test_shedding_disabled_by_config(self, tiny_system, tiny_dataset):
-        from repro.obs import health as obs_health
-        from repro.serve import EstimationRequest, QueryService, ServeConfig
-
-        request = EstimationRequest(
-            queried=(0, 1), slot=tiny_dataset.slot, budget=5
-        )
-        obs_health.install(_failing_monitor())
-        try:
-            service = QueryService(
-                tiny_system,
-                config=ServeConfig(
-                    num_workers=1, max_queue_depth=4, shed_on_failing=False
-                ),
-                autostart=False,
-            )
-            for _ in range(4):
-                service.submit(request)
-            service.close(drain=False)
-        finally:
-            obs_health.uninstall()

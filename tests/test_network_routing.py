@@ -7,7 +7,6 @@ import repro
 from repro.errors import DatasetError, NetworkError, RoadNotFoundError
 from repro.network.routing import (
     RouteWeight,
-    k_hop_neighborhood,
     shortest_route,
     travel_time_minutes,
 )
@@ -84,18 +83,6 @@ class TestTravelTime:
         jammed_speeds[1] = 10.0
         jammed = travel_time_minutes(line_net, [0, 1, 2], jammed_speeds)
         assert jammed > free
-
-
-class TestKHopNeighborhood:
-    def test_zero_is_self(self, grid_net):
-        assert k_hop_neighborhood(grid_net, 12, 0) == [12]
-
-    def test_line_two_hops(self, line_net):
-        assert k_hop_neighborhood(line_net, 2, 2) == [0, 1, 2, 3, 4]
-
-    def test_negative_k(self, grid_net):
-        with pytest.raises(NetworkError):
-            k_hop_neighborhood(grid_net, 0, -1)
 
 
 class TestRoutedTrajectories:

@@ -21,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.local_search import local_search
 from repro.core.ocs import (
     OCSInstance,
     hybrid_greedy,
     objective_greedy,
     ratio_greedy,
 )
+from repro.experiments.ablations import local_search
 from repro.experiments import figure2
 from repro.experiments.common import (
     ExperimentScale,

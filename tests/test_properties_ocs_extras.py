@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core.local_search import local_search
 from repro.core.ocs import OCSInstance, hybrid_greedy
+from repro.experiments.ablations import local_search
 from repro.datasets.loaders import history_from_records, history_to_csv, history_from_csv
 from repro.traffic.history import SpeedHistory
 

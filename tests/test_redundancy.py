@@ -27,7 +27,6 @@ from repro.core.correlation import (
     road_road_correlation_matrix,
 )
 from repro.core.inference import empirical_slot_parameters
-from repro.core.local_search import local_search
 from repro.core.ocs import (
     OCSInstance,
     brute_force_ocs,
@@ -36,6 +35,7 @@ from repro.core.ocs import (
     random_selection,
     ratio_greedy,
 )
+from repro.experiments.ablations import local_search
 from repro.core.rtf import RTFModel, RTFSlot
 from repro.core.store import _KIND_CORRELATION_ROWS, ModelStore
 from repro.datasets import truth_oracle_for

@@ -125,7 +125,6 @@ class TestServeConfig:
             {"max_queue_depth": 0},
             {"max_coalesce": 0},
             {"coalesce_window_s": -0.1},
-            {"degrade_margin_s": -1.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -293,15 +292,6 @@ class TestDeadlines:
         np.testing.assert_array_equal(
             served.estimates_kmh, expected[np.asarray(request.queried)]
         )
-
-    def test_degrade_on_timeout_false_raises_typed_timeout(self, serve_world):
-        config = ServeConfig(degrade_on_timeout=False)
-        request = make_request(serve_world, deadline_s=1e-9)
-        with QueryService(serve_world["system"], config=config) as service:
-            ticket = service.submit(request)
-            with pytest.raises(errors.QueryTimeoutError) as excinfo:
-                ticket.result(timeout=60)
-        assert excinfo.value.deadline_seconds == pytest.approx(1e-9)
 
     def test_default_deadline_from_config(self, serve_world):
         config = ServeConfig(default_deadline_s=1e-9)
@@ -510,7 +500,7 @@ class TestProbeLock:
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(system.gsp_engine, "propagate", waiting_propagate)
-        config = ServeConfig(num_workers=2, serialize_probes=True)
+        config = ServeConfig(num_workers=2)
         with QueryService(system, config=config) as service:
             ticket_a = service.submit(
                 make_request(

@@ -25,6 +25,7 @@ from repro.core.pipeline import CrowdRTSE
 from repro.core.rtf import RTFModel, RTFSlot
 from repro.core.store import ModelStore
 from repro.errors import FeedError, ReproError, StreamError
+from repro.stream import refresher as stream_refresher
 from repro.stream import (
     DROP_REASONS,
     FeedAdapter,
@@ -301,9 +302,6 @@ class TestStreamConfig:
         [
             {"learning_rate": 0.0},
             {"learning_rate": 1.0},
-            {"max_pending": 0},
-            {"max_slots_per_publish": 0},
-            {"min_observed": 0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -376,17 +374,6 @@ class TestStreamRefresher:
         assert system.store.version == 1
         errors.reset_deprecation_warnings()
 
-    def test_low_coverage_slot_is_skipped(self, line_net):
-        system = _system(line_net)
-        config = StreamConfig(
-            lateness_s=0.0, min_observed=3, learning_rate=0.5,
-            async_publish=False,
-        )
-        with StreamRefresher(system, config) as refresher:
-            refresher.ingest([_msg(0, slot=0), _msg(1, slot=0)])
-        assert refresher.stats.skipped_low_coverage == 1
-        assert system.store.version == 1
-
     def test_backpressure_blocks_the_feed_thread(self, line_net, monkeypatch):
         system = _system(line_net, slots=(0, 1, 2, 3))
         release = threading.Event()
@@ -397,10 +384,9 @@ class TestStreamRefresher:
             return original(self, day_samples, learning_rate=learning_rate)
 
         monkeypatch.setattr(CrowdRTSE, "refresh", slow_refresh)
-        config = StreamConfig(
-            lateness_s=0.0, max_pending=1, max_slots_per_publish=1,
-            learning_rate=0.5,
-        )
+        monkeypatch.setattr(stream_refresher, "_MAX_PENDING", 1)
+        monkeypatch.setattr(stream_refresher, "_MAX_SLOTS_PER_PUBLISH", 1)
+        config = StreamConfig(lateness_s=0.0, learning_rate=0.5)
         refresher = StreamRefresher(system, config)
         done = threading.Event()
 
@@ -424,7 +410,7 @@ class TestStreamRefresher:
         refresher.close()
         assert stalled, "feed was never throttled by the full queue"
         assert refresher.stats.backpressure_waits >= 1
-        assert refresher.stats.max_pending_seen <= config.max_pending
+        assert refresher.stats.max_pending_seen <= 1
         assert refresher.stats.published_slots == 4
 
     def test_publisher_failure_surfaces_as_stream_error(self, line_net, monkeypatch):

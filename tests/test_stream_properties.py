@@ -12,6 +12,9 @@ layer is built on:
 * **Watermark monotonicity** — the watermark is exactly the running max
   of every event timestamp seen and never regresses, whatever the
   arrival order.
+* **No empty slot closes** — every :meth:`ObservationLog.close_slot`
+  returns at least one observed road, so the refresher never publishes
+  a slot from zero evidence.
 
 Lateness is a deliberate exception to full-history permutation
 invariance: which stragglers are dropped depends on when the watermark
@@ -167,3 +170,21 @@ class TestWatermark:
             assert result.total == len(batch)
             total += len(batch)
         assert log.accepted + log.duplicates + log.late == total
+
+
+class TestClosedSlots:
+    @given(
+        stream=st.lists(st.lists(_messages, max_size=30), max_size=5),
+        lateness_s=st.sampled_from([0.0, 30.0, 600.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_closed_slot_has_an_observed_road(self, stream, lateness_s):
+        """Late drops, redeliveries and drains never leave an empty bucket."""
+        log = ObservationLog(N_ROADS, lateness_s=lateness_s)
+        for batch in stream:
+            log.ingest(batch)
+            for key in log.closable():
+                assert len(log.close_slot(key)) >= 1
+        for key in log.open_slots():
+            assert len(log.close_slot(key)) >= 1
+        assert log.open_slots() == []

@@ -32,6 +32,7 @@ import pytest
 import repro
 from repro import obs
 from repro.serve import EstimationRequest, QueryService, ServeConfig
+from repro.stream import refresher as stream_refresher
 from repro.stream import (
     SLOT_SECONDS,
     StreamConfig,
@@ -78,7 +79,7 @@ def _request(world, seed: int) -> EstimationRequest:
     )
 
 
-def test_streaming_refresh_while_serving(world):
+def test_streaming_refresh_while_serving(world, monkeypatch):
     data = world["data"]
     system = world["system"]
     feed = synthesize_day_feed(
@@ -123,12 +124,9 @@ def test_streaming_refresh_while_serving(world):
     # the feed can have submitted at most slots j+1 (queued) and j+2
     # (blocked in backpressure), so the watermark sits no further than
     # slot j+2's close point — a derivable freshness bound.
-    config = StreamConfig(
-        lateness_s=LATENESS_S,
-        learning_rate=0.2,
-        max_pending=1,
-        max_slots_per_publish=1,
-    )
+    monkeypatch.setattr(stream_refresher, "_MAX_PENDING", 1)
+    monkeypatch.setattr(stream_refresher, "_MAX_SLOTS_PER_PUBLISH", 1)
+    config = StreamConfig(lateness_s=LATENESS_S, learning_rate=0.2)
     watermarks: List[float] = []
     try:
         with QueryService(
@@ -165,7 +163,7 @@ def test_streaming_refresh_while_serving(world):
         assert stats.publishes >= 2
         assert stats.published_slots == len(world["slots"])
         assert system.store.version == 1 + stats.publishes
-        assert stats.max_pending_seen <= config.max_pending
+        assert stats.max_pending_seen <= 1
 
         # Watermark (event-time clock) is monotone over the replay.
         assert all(a <= b for a, b in zip(watermarks, watermarks[1:]))

@@ -10,7 +10,6 @@ from repro.traffic.trajectories import (
     TrajectoryGenerator,
     TrajectoryPoint,
     extract_road_speeds,
-    fleet_road_speeds,
 )
 
 
@@ -144,20 +143,6 @@ class TestSpeedExtraction:
         observed = extract_road_speeds(line_net, Trajectory("v0", points))
         assert observed == {}
 
-    def test_fleet_observations_collect_per_road(self, grid_net):
-        speeds = uniform_speeds(grid_net, 36.0)
-        generator = TrajectoryGenerator(
-            grid_net, speeds, gps_noise_fraction=0.0, seed=9
-        )
-        traces = generator.fleet(6, duration_s=300)
-        observations = fleet_road_speeds(grid_net, traces)
-        assert observations
-        total = sum(len(v) for v in observations.values())
-        assert total >= 6
-        for road, values in observations.items():
-            for value in values:
-                assert value == pytest.approx(36.0, rel=0.1)
-
     def test_observations_aggregate_cleanly(self, grid_net):
         """Trajectory-derived answers flow into the standard aggregator."""
         speeds = uniform_speeds(grid_net, 45.0)
@@ -165,7 +150,10 @@ class TestSpeedExtraction:
             grid_net, speeds, gps_noise_fraction=0.01, seed=10
         )
         traces = generator.fleet(8, duration_s=300)
-        observations = fleet_road_speeds(grid_net, traces)
+        observations = {}
+        for trace in traces:
+            for road, speed in extract_road_speeds(grid_net, trace).items():
+                observations.setdefault(road, []).append(speed)
         road, values = max(observations.items(), key=lambda kv: len(kv[1]))
         aggregated = repro.aggregate_answers(values)
         assert aggregated == pytest.approx(45.0, rel=0.15)

@@ -8,8 +8,6 @@ from repro.errors import ExperimentError
 from repro.viz import (
     congestion_strip,
     convergence_sparkline,
-    render_speed_table,
-    speed_histogram,
 )
 
 
@@ -60,39 +58,3 @@ class TestSparkline:
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
             convergence_sparkline([])
-
-
-class TestSpeedHistogram:
-    def test_counts_sum(self, rng):
-        speeds = rng.uniform(20, 80, 100)
-        text = speed_histogram(speeds, n_bins=5)
-        lines = text.splitlines()
-        assert len(lines) == 5
-        total = sum(int(line.rsplit(" ", 1)[-1]) for line in lines)
-        assert total == 100
-
-    def test_validation(self):
-        with pytest.raises(ExperimentError):
-            speed_histogram([30.0], n_bins=0)
-
-
-class TestRenderSpeedTable:
-    def test_slowest_first(self, grid_net):
-        speeds = np.full(25, 40.0)
-        speeds[13] = 4.0  # the jam
-        text = render_speed_table(grid_net, speeds, limit=3)
-        first_row = text.splitlines()[1]
-        assert first_row.startswith("r13")
-
-    def test_reference_column(self, grid_net):
-        speeds = np.full(25, 40.0)
-        text = render_speed_table(grid_net, speeds, reference_kmh=speeds, limit=2)
-        assert "reference" in text.splitlines()[0]
-
-    def test_limit_respected(self, grid_net):
-        text = render_speed_table(grid_net, np.full(25, 40.0), limit=5)
-        assert len(text.splitlines()) == 6  # header + 5 rows
-
-    def test_shape_check(self, grid_net):
-        with pytest.raises(ExperimentError):
-            render_speed_table(grid_net, np.ones(3))

@@ -8,8 +8,8 @@ Identifies, per module:
   lock and parameter-assigned attributes (``self._lock = lock``) marked
   ``external`` so instances can later be aliased to the lock their
   constructor receives,
-* lock-returning helper methods (``return self._probe_lock``), so
-  ``with self._maybe_probe_lock():`` counts as an acquisition.
+* lock-returning helper methods (``return self._lock``), so
+  ``with self._active_lock():`` counts as an acquisition.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ClassLockInfo:
     attrs: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: condition attr -> the lock attr it wraps (same class)
     condition_wraps: Dict[str, str] = dataclasses.field(default_factory=dict)
-    #: method name -> lock attrs it may return (``_maybe_probe_lock`` style)
+    #: method name -> lock attrs it may return (``_active_lock`` style)
     lock_returners: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
     #: external lock attr -> __init__ parameter name it was assigned from
     attr_from_param: Dict[str, str] = dataclasses.field(default_factory=dict)
@@ -151,7 +151,7 @@ def with_item_lock_attrs(
     """Canonical lock attrs acquired by one ``with`` item of a method.
 
     Handles ``with self._lock:``, Condition aliases, and lock-returning
-    helper calls (``with self._maybe_probe_lock():``).
+    helper calls (``with self._active_lock():``).
     """
     expr = item.context_expr
     attr = self_attr_path(expr)

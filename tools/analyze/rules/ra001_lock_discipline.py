@@ -8,7 +8,7 @@ the author considered it shared, so every unlocked site (outside
 ``__init__``) is flagged.
 
 Condition variables alias the lock they wrap, and methods returning a
-class lock (``with self._maybe_probe_lock():``) count as acquisitions.
+class lock (``with self._active_lock():``) count as acquisitions.
 Nested functions and lambdas are skipped — they execute later, on some
 other call stack, and their lock context cannot be read off lexically.
 """
